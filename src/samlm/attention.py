@@ -97,20 +97,6 @@ class BilinearAttention:
         return dvectors, dh_prev
 
 
-def title_context(
-    att: BilinearAttention, enc: TitleEncoding, h_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Per-timestep title context: softmax over title-word states."""
-    return att.attend(enc.states, h_prev)
-
-
-def attribute_context(
-    att: BilinearAttention, candidates: list[np.ndarray], h_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Fused attribute embedding: softmax over the attribute candidate set."""
-    return att.attend(candidates, h_prev)
-
-
 @dataclass
 class AttentionTrace:
     """Attention weights captured over one forward or generation pass.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import corpus, evaluate, generation, lda, ngram, tensor, trainer
 from .corpus import AttributeInventory, Vocabulary
-from .model import ModelConfig, VARIANTS, build, load_model
+from .model import ModelConfig, SamModel, VARIANTS, build, load_model
 
 
 class CliParser(argparse.ArgumentParser):
@@ -147,15 +147,31 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
-def _load_corpus_artifacts(model_path: Path) -> tuple[Vocabulary, AttributeInventory]:
-    """Vocabulary and inventories live beside the checkpoint."""
+def _load_run(model_path: Path) -> tuple[SamModel, Vocabulary, AttributeInventory]:
+    """Checkpoint plus the vocabulary and inventories that live beside it.
+
+    Raises ValueError when an artifact's size disagrees with the checkpoint's
+    config, since a shifted vocabulary silently scores the wrong words.
+    """
+    model = load_model(model_path)
     run_dir = model_path.parent
     vocab = Vocabulary.load(run_dir / "vocab.txt")
     attrs = AttributeInventory(
         authors=Vocabulary.load(run_dir / "authors.txt", n_specials=1),
         categories=Vocabulary.load(run_dir / "categories.txt", n_specials=1),
     )
-    return vocab, attrs
+    for name, loaded, key in (
+        ("vocab.txt", vocab, "vocab_size"),
+        ("authors.txt", attrs.authors, "n_authors"),
+        ("categories.txt", attrs.categories, "n_categories"),
+    ):
+        expected = getattr(model.config, key)
+        if len(loaded) != expected:
+            raise ValueError(
+                f"{run_dir / name} has {len(loaded)} entries but checkpoint {model_path} "
+                f"has {key} {expected}"
+            )
+    return model, vocab, attrs
 
 
 def _save_corpus_artifacts(out: Path, vocab: Vocabulary, attrs: AttributeInventory) -> None:
@@ -276,8 +292,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    sam = load_model(args.model)
-    vocab, attrs = _load_corpus_artifacts(args.model)
+    sam, vocab, attrs = _load_run(args.model)
     docs = _indexed(args.data, vocab, attrs)
     report = evaluate.perplexity(
         sam, docs, model_id=sam.config.variant, corpus_id=args.corpus_id or args.data.stem
@@ -291,8 +306,7 @@ def cmd_word_delta(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
     model_a = load_model(args.model_a)
-    model_b = load_model(args.model_b)
-    vocab, attrs = _load_corpus_artifacts(args.model_b)
+    model_b, vocab, attrs = _load_run(args.model_b)
     docs = _indexed(args.data, vocab, attrs)
     report = evaluate.word_delta(
         model_a,
@@ -345,8 +359,7 @@ def _gen_request(args, config) -> generation.GenRequest:
 def cmd_generate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    sam = load_model(args.model)
-    vocab, attrs = _load_corpus_artifacts(args.model)
+    sam, vocab, attrs = _load_run(args.model)
     result = generation.generate(sam, vocab, attrs, _gen_request(args, config))
     attn_path = None
     if not result.trace.empty:
@@ -366,8 +379,7 @@ def cmd_generate(args) -> int:
 def cmd_vary(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    sam = load_model(args.model)
-    vocab, attrs = _load_corpus_artifacts(args.model)
+    sam, vocab, attrs = _load_run(args.model)
     source = corpus.Document(
         id="vary-source",
         text=("-",),
@@ -407,8 +419,7 @@ def cmd_vary(args) -> int:
 def cmd_export_attn(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    sam = load_model(args.model)
-    vocab, attrs = _load_corpus_artifacts(args.model)
+    sam, vocab, attrs = _load_run(args.model)
     raw_docs = corpus.ingest(args.data)
     matches = [d for d in raw_docs if d.id == args.doc_id]
     if not matches:

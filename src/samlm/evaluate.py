@@ -7,22 +7,12 @@ conditioning context only and never enter the sum.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import UNK_ID, IndexedDocument, Vocabulary
-
-
-def max_workers() -> int:
-    """Worker-thread cap from the SAMLM_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("SAMLM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -59,12 +49,7 @@ def perplexity(model, docs: list[IndexedDocument], model_id: str = "", corpus_id
     """Corpus perplexity of any model exposing document_nll(doc)."""
     if not docs:
         raise ValueError("perplexity over an empty corpus")
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(model.document_nll, docs))
-    else:
-        results = [model.document_nll(doc) for doc in docs]
+    results = [model.document_nll(doc) for doc in docs]
     total_nll = sum(r[0] for r in results)
     token_count = sum(r[1] for r in results)
     unk_count = sum(1 for doc in docs for t in doc.text_ids if t == UNK_ID)

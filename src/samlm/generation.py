@@ -4,12 +4,13 @@ substitution, and attention-trace export."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .attention import AttentionTrace, write_trace_csv
 from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, IndexedDocument, Vocabulary
-from .model import DocState, SamModel
+from .model import DocState, SamModel, StepOutput
 
 
 @dataclass
@@ -96,40 +97,39 @@ def generate(
     """
     req.validate()
     state, warnings = _conditioning(model, vocab, attrs, req)
-    rng = np.random.default_rng(req.seed)
+    return _decode(model, vocab, req, [state], warnings)
 
-    h = state.h0
-    prev = PAD_ID
+
+def _decode(
+    model: SamModel,
+    vocab: Vocabulary,
+    req: GenRequest,
+    states: list[DocState],
+    warnings: list[str],
+    watch: Callable[[list[StepOutput]], None] | None = None,
+) -> GenResult:
+    """Decode from states[0]. Any further states are stepped beside it on the
+    same tokens, and `watch` sees every step's outputs."""
+    rng = np.random.default_rng(req.seed)
     tokens: list[str] = []
     chosen_probs: list[float] = []
-    alpha_cols: list[np.ndarray] = []
-    beta_cols: list[np.ndarray] = []
-    for _ in range(req.max_len):
-        out = model.step(prev, h, state)
+
+    def choose(outs: list[StepOutput]) -> int | None:
+        if watch is not None:
+            watch(outs)
         if req.strategy == "greedy":
-            probs = masked_distribution(out.logits)
+            probs = masked_distribution(outs[0].logits)
             idx = int(np.argmax(probs))
         else:
-            probs = masked_distribution(out.logits, req.temperature)
+            probs = masked_distribution(outs[0].logits, req.temperature)
             idx = sample_index(probs, rng)
         tokens.append(vocab.token_for(idx))
         chosen_probs.append(float(probs[idx]))
-        if out.alpha is not None:
-            alpha_cols.append(out.alpha)
-        if out.beta is not None:
-            beta_cols.append(out.beta)
-        h = out.h
-        prev = idx
-        if idx == EOS_ID:
-            break
+        return None if idx == EOS_ID or len(tokens) == req.max_len else idx
 
-    trace = AttentionTrace(
-        alpha=np.column_stack(alpha_cols) if alpha_cols else None,
-        beta=np.column_stack(beta_cols) if beta_cols else None,
-        main_tokens=list(tokens),
-        title_tokens=list(req.title) if req.title else [],
-        attr_names=list(model.variant.candidate_names),
-    )
+    trace = model.unroll(states, choose)
+    trace.main_tokens = list(tokens)
+    trace.title_tokens = list(req.title) if req.title else []
     return GenResult(tokens=tokens, probabilities=chosen_probs, trace=trace, warnings=warnings)
 
 
@@ -167,6 +167,10 @@ def style_variation(
     distributions along the original generation's token path, so the two
     streams are compared at identical inputs; free-running difference is
     summarized separately as token overlap.
+
+    Each author is conditioned once. The substituted-author stream is stepped
+    beside the original decode, so with L original and L' varied tokens the
+    call makes 2L + L' model steps.
     """
     if not model.variant.author:
         raise ValueError(f"variant {model.variant.name} has no author attribute")
@@ -180,20 +184,19 @@ def style_variation(
         strategy=strategy,
         seed=seed,
     )
-    original = generate(model, vocab, attrs, GenRequest(author=source.author, **base))
-    varied = generate(model, vocab, attrs, GenRequest(author=fake_author, **base))
+    req_orig = GenRequest(author=source.author, **base)
+    req_fake = GenRequest(author=fake_author, **base)
+    req_orig.validate()
+    state_orig, warnings_orig = _conditioning(model, vocab, attrs, req_orig)
+    state_fake, warnings_fake = _conditioning(model, vocab, attrs, req_fake)
 
-    state_orig, _ = _conditioning(model, vocab, attrs, GenRequest(author=source.author, **base))
-    state_fake, _ = _conditioning(model, vocab, attrs, GenRequest(author=fake_author, **base))
-    path = [vocab.id_for(t) for t in original.tokens]
-    inputs = [PAD_ID] + path[:-1]
-    h_orig, h_fake = state_orig.h0, state_fake.h0
-    divergences = []
-    for x_id in inputs:
-        out_orig = model.step(x_id, h_orig, state_orig)
-        out_fake = model.step(x_id, h_fake, state_fake)
-        divergences.append(js_divergence(out_orig.probs, out_fake.probs))
-        h_orig, h_fake = out_orig.h, out_fake.h
+    divergences: list[float] = []
+
+    def compare(outs: list[StepOutput]) -> None:
+        divergences.append(js_divergence(outs[0].probs, outs[1].probs))
+
+    original = _decode(model, vocab, req_orig, [state_orig, state_fake], warnings_orig, compare)
+    varied = _decode(model, vocab, req_fake, [state_fake], warnings_fake)
 
     set_orig = {t for t in original.tokens if t != vocab.token_for(EOS_ID)}
     set_fake = {t for t in varied.tokens if t != vocab.token_for(EOS_ID)}

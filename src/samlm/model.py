@@ -19,6 +19,7 @@ Conventions the whole package relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .attention import (
     AttentionTrace,
     BilinearAttention,
     TitleEncoding,
-    attribute_context,
     encode_title,
-    title_context,
 )
 from .corpus import IndexedDocument, PAD_ID
 from .gru import GruCache, GruCell
@@ -237,7 +236,7 @@ class SamModel:
 
         candidates: list[np.ndarray] = []
         if spec.title_attention:
-            c_title, alpha, t_cache = title_context(self.title_att, state.enc, h_prev)
+            c_title, alpha, t_cache = self.title_att.attend(state.enc.states, h_prev)
             candidates.append(c_title)
         if spec.author:
             candidates.append(self.author_table.value[state.author_id])
@@ -251,7 +250,7 @@ class SamModel:
             beta = np.ones(1)
             w = tensor.concat(x_emb, candidates[0])
         elif candidates:
-            context, beta, a_cache = attribute_context(self.attr_att, candidates, h_prev)
+            context, beta, a_cache = self.attr_att.attend(candidates, h_prev)
             w = tensor.concat(x_emb, context)
         else:
             w = x_emb
@@ -271,34 +270,59 @@ class SamModel:
         )
         return StepOutput(h=h, logits=logits, probs=probs, alpha=alpha, beta=beta, cache=cache)
 
+    def unroll(
+        self,
+        states: list[DocState],
+        choose: Callable[[list[StepOutput]], int | None],
+        want_trace: bool = True,
+    ) -> AttentionTrace:
+        """The recurrence loop: step `states` in lockstep on one input stream.
+
+        The stream starts at PAD. After each step `choose` gets the outputs,
+        one per state, and returns the next input id or None to stop: the
+        next target under teacher forcing, the chosen token when decoding.
+        Returns the attention trace of the first state: title-word weights
+        and attribute weights stacked one column per step, None where the
+        variant has none.
+        """
+        hs = [state.h0 for state in states]
+        alphas: list[np.ndarray | None] = []
+        betas: list[np.ndarray | None] = []
+        x_id = PAD_ID
+        while x_id is not None:
+            outs = [self.step(x_id, h, state) for h, state in zip(hs, states)]
+            if want_trace:
+                alphas.append(outs[0].alpha)
+                betas.append(outs[0].beta)
+            hs = [out.h for out in outs]
+            x_id = choose(outs)
+
+        def stack(cols):
+            return np.column_stack(cols) if cols and cols[0] is not None else None
+
+        return AttentionTrace(
+            alpha=stack(alphas), beta=stack(betas), attr_names=list(self.variant.candidate_names)
+        )
+
     def forward_document(
         self, doc: IndexedDocument, want_trace: bool = True, want_caches: bool = True
     ) -> DocForward:
         """Teacher-forced pass over the document's main text, EOS included."""
         state = self.prepare(doc)
         targets = doc.text_ids
-        inputs = (PAD_ID,) + targets[:-1]
-        h = state.h0
+        if not targets:
+            raise ValueError(f"document {doc.id} has no tokens to predict")
         nlls: list[float] = []
         caches: list[StepCache] = []
-        alpha_cols: list[np.ndarray] = []
-        beta_cols: list[np.ndarray] = []
-        for x_id, target in zip(inputs, targets):
-            out = self.step(x_id, h, state)
-            nlls.append(-float(np.log(out.probs[target])))
+
+        def teacher(outs: list[StepOutput]) -> int | None:
+            t = len(nlls)
+            nlls.append(-float(np.log(outs[0].probs[targets[t]])))
             if want_caches:
-                caches.append(out.cache)
-            if want_trace:
-                if out.alpha is not None:
-                    alpha_cols.append(out.alpha)
-                if out.beta is not None:
-                    beta_cols.append(out.beta)
-            h = out.h
-        trace = AttentionTrace(
-            alpha=np.column_stack(alpha_cols) if alpha_cols else None,
-            beta=np.column_stack(beta_cols) if beta_cols else None,
-            attr_names=list(self.variant.candidate_names),
-        )
+                caches.append(outs[0].cache)
+            return targets[t] if t + 1 < len(targets) else None
+
+        trace = self.unroll([state], teacher, want_trace)
         return DocForward(
             doc=doc,
             state=state,

@@ -31,6 +31,14 @@ class _ContextEntry:
     distinct: int
 
 
+def _context_table(table: dict[tuple[int, ...], dict[int, int]]) -> dict[tuple[int, ...], _ContextEntry]:
+    """Wrap one order's context -> word-count table with its totals."""
+    return {
+        ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
+        for ctx, words in table.items()
+    }
+
+
 class KneserNeyModel:
     def __init__(self, order: int, vocab_size: int):
         if order < 1:
@@ -79,12 +87,7 @@ class KneserNeyModel:
                         table[ctx] = dict(words)
                     else:
                         table[ctx] = dict(continuation[ctx])
-            model.tables.append(
-                {
-                    ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
-                    for ctx, words in table.items()
-                }
-            )
+            model.tables.append(_context_table(table))
 
         for k in range(order):
             n1 = n2 = 0
@@ -167,11 +170,5 @@ class KneserNeyModel:
                 k_str, ctx_str, w_str, count_str = line.rstrip("\n").split("\t")
                 ctx = tuple(int(t) for t in ctx_str.split()) if ctx_str else ()
                 raw[int(k_str) - 1][ctx][int(w_str)] = int(count_str)
-        for table in raw:
-            model.tables.append(
-                {
-                    ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
-                    for ctx, words in table.items()
-                }
-            )
+        model.tables = [_context_table(table) for table in raw]
         return model

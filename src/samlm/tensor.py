@@ -18,13 +18,6 @@ CHECKPOINT_FORMAT = 1
 INIT_SCALE = 0.1
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix times column vector, with shape validation."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Normalized exponentials with max-subtraction for stability."""
     if v.size < 1:
@@ -35,22 +28,6 @@ def softmax(v: np.ndarray) -> np.ndarray:
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
-
-
-def tanh(v: np.ndarray) -> np.ndarray:
-    return np.tanh(v)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
 
 
 def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:

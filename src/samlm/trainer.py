@@ -69,13 +69,6 @@ class Adam:
             p.grad[...] = 0.0
 
 
-def adam_step(store: ParamStore, state: Adam, lr: float | None = None) -> None:
-    """One optimizer step; `lr` overrides the state's learning rate."""
-    if lr is not None:
-        state.lr = lr
-    state.step()
-
-
 @dataclass
 class EpochStats:
     epoch: int

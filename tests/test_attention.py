@@ -4,10 +4,8 @@ import pytest
 from samlm.attention import (
     AttentionTrace,
     BilinearAttention,
-    attribute_context,
     encode_title,
     read_trace_csv,
-    title_context,
     write_trace_csv,
 )
 from samlm.gru import GruCell
@@ -167,20 +165,6 @@ class TestBackward:
         assert not dh.any() and not att.M.grad.any()
         for dv in dvectors:
             assert not dv.any()
-
-
-class TestModuleFunctions:
-    def test_title_and_attribute_context_share_math(self):
-        store, cell, E = make_encoder(seed=11)
-        att_store = ParamStore()
-        rng = np.random.default_rng(11)
-        att = BilinearAttention(att_store, "M1", 3, 7, rng)
-        enc = encode_title(cell, (1, 2), E)
-        h_prev = rng.uniform(-1, 1, 7)
-        c1, w1, _ = title_context(att, enc, h_prev)
-        c2, w2, _ = attribute_context(att, enc.states, h_prev)
-        np.testing.assert_array_equal(c1, c2)
-        np.testing.assert_array_equal(w1, w2)
 
 
 class TestTraceCsv:

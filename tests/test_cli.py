@@ -1,9 +1,13 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import samlm
 from samlm.cli import build_parser, main
 from samlm.corpus import write_jsonl
 
@@ -192,6 +196,27 @@ class TestPipeline:
         files = list(tmp_path.glob("attention_*.csv"))
         assert files and files[0].read_text().startswith(",")
 
+    @pytest.mark.parametrize("edit", ["truncated", "padded"])
+    def test_vocab_that_disagrees_with_checkpoint_exits_two(self, corpus_files, trained_run, tmp_path, capsys, edit):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("best.ckpt", "authors.txt", "categories.txt"):
+            shutil.copy(trained_run / name, run / name)
+        lines = (trained_run / "vocab.txt").read_text().splitlines()
+        edited = lines[:10] if edit == "truncated" else lines + ["extra1", "extra2"]
+        (run / "vocab.txt").write_text("\n".join(edited) + "\n")
+        out = tmp_path / "out"
+        commands = [
+            ["eval", "--model", str(run / "best.ckpt"), "--data", str(corpus_files / "test.jsonl")],
+            ["generate", "--model", str(run / "best.ckpt"), "--author", "alice", "--max-len", "4"],
+        ]
+        for args in commands:
+            capsys.readouterr()
+            assert main(args + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"has {len(edited)} entries" in err and f"vocab_size {len(lines)}" in err
+        assert not (out / "perplexity.csv").exists()
+
     def test_lda_label(self, tmp_path):
         docs, _ = synth.planted_topic_corpus(2, docs_per_topic=8, doc_len=20, seed=5)
         src = tmp_path / "unlabeled.jsonl"
@@ -233,8 +258,11 @@ class TestPipeline:
         assert (tmp_path / "flags-win" / "kn2.counts").exists()
 
     def test_console_entry_point(self):
+        # the child imports the same samlm as this process, installed or not
+        src = str(Path(samlm.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "samlm.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "samlm.cli", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert "samlm" in proc.stdout

@@ -68,13 +68,6 @@ class TestPerplexity:
         assert lines[0].startswith("model_id,")
         assert lines[1].startswith("m,c,")
 
-    def test_thread_env_leaves_totals_identical(self, monkeypatch):
-        model, _ = make_models(seed=7)
-        serial = perplexity(model, DOCS).total_nll
-        monkeypatch.setenv("SAMLM_THREADS", "4")
-        threaded = perplexity(model, DOCS).total_nll
-        assert serial == threaded
-
 
 class TestWordDelta:
     def test_identical_models_all_alike(self):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from samlm.corpus import Document, EOS, PAD, PAD_ID, UNK, UNK_ID
+from samlm.corpus import Document, EOS, PAD, PAD_ID, UNK, UNK_ID, IndexedDocument
 from samlm.generation import (
     GenRequest,
+    _conditioning,
     generate,
     export_attention,
     js_divergence,
@@ -12,7 +15,7 @@ from samlm.generation import (
     style_variation,
 )
 from samlm.attention import read_trace_csv
-from samlm.model import ModelConfig, build
+from samlm.model import VARIANTS, ModelConfig, SamModel, build
 from samlm.trainer import TrainConfig, train
 
 import synth
@@ -55,6 +58,41 @@ def title_setup():
         )
     )
     return model, vocab, attrs, docs
+
+
+@pytest.fixture(scope="module")
+def every_variant():
+    """Untrained models of all variants over a corpus with every attribute.
+
+    Weights are scaled up so that the next-token distributions are peaked and
+    decoded paths depend on the conditioning.
+    """
+    docs, _ = synth.title_selects_vocab_corpus(30, seed=2)
+    authors = ("alice", "bob", "carol")
+    docs = [
+        dataclasses.replace(doc, author=authors[i % 3], category=f"k{i % 2}") for i, doc in enumerate(docs)
+    ]
+    vocab, attrs, _ = synth.pipeline(docs)
+    models = {}
+    for name in sorted(VARIANTS):
+        model = build(
+            ModelConfig(
+                variant=name,
+                d=8,
+                d_tilde=5,
+                vocab_size=len(vocab),
+                n_authors=len(attrs.authors),
+                n_categories=len(attrs.categories),
+                seed=3,
+            )
+        )
+        for p in model.store.params():
+            p.value *= 20.0
+        models[name] = model
+    return models, vocab, attrs, docs
+
+
+AUTHOR_VARIANTS = sorted(name for name, spec in VARIANTS.items() if spec.author)
 
 
 class TestSampler:
@@ -232,3 +270,75 @@ class TestExportAttention:
         expected = np.round(result.trace.alpha, 6)
         for (label, row), exp in zip(body, expected):
             np.testing.assert_allclose(row, exp, atol=1e-9)
+
+
+class TestOneRecurrence:
+    """Decoding, teacher forcing and style variation step the same loop."""
+
+    @pytest.mark.parametrize("variant", AUTHOR_VARIANTS)
+    @pytest.mark.parametrize("strategy", ["greedy", "sample"])
+    def test_style_variation_makes_2L_plus_L_prime_steps(self, every_variant, variant, strategy, monkeypatch):
+        models, vocab, attrs, docs = every_variant
+        counts = {"step": 0, "prepare": 0}
+        step, prepare = SamModel.step, SamModel.prepare
+
+        def counted_step(self, *args):
+            counts["step"] += 1
+            return step(self, *args)
+
+        def counted_prepare(self, *args):
+            counts["prepare"] += 1
+            return prepare(self, *args)
+
+        monkeypatch.setattr(SamModel, "step", counted_step)
+        monkeypatch.setattr(SamModel, "prepare", counted_prepare)
+        out = style_variation(models[variant], vocab, attrs, docs[0], fake_author="bob",
+                              max_len=12, strategy=strategy, seed=5)
+        L, L_varied = len(out.original.tokens), len(out.varied.tokens)
+        assert counts == {"step": 2 * L + L_varied, "prepare": 2}
+
+    @pytest.mark.parametrize("variant", AUTHOR_VARIANTS)
+    @pytest.mark.parametrize("strategy", ["greedy", "sample"])
+    def test_divergence_equals_restepped_streams(self, every_variant, variant, strategy):
+        # the reference conditions both authors afresh and steps both streams
+        # along the original tokens in a loop of its own
+        models, vocab, attrs, docs = every_variant
+        model = models[variant]
+        cases = ((docs[0], "bob"), (docs[1], "nobody"), (docs[2], docs[2].author))
+        for seed, (source, fake) in enumerate(cases):
+            out = style_variation(model, vocab, attrs, source, fake_author=fake,
+                                  max_len=12, strategy=strategy, seed=seed)
+            streams = []
+            for author in (source.author, fake):
+                req = GenRequest(title=source.title, author=author, category=source.category)
+                streams.append(_conditioning(model, vocab, attrs, req)[0])
+            ids = [vocab.id_for(t) for t in out.original.tokens]
+            hs = [state.h0 for state in streams]
+            divergences = []
+            for x_id in [PAD_ID] + ids[:-1]:
+                outs = [model.step(x_id, h, state) for h, state in zip(hs, streams)]
+                divergences.append(js_divergence(outs[0].probs, outs[1].probs))
+                hs = [o.h for o in outs]
+            assert out.divergence == float(np.mean(divergences))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_greedy_trace_equals_teacher_forced_trace(self, every_variant, variant):
+        models, vocab, attrs, docs = every_variant
+        model = models[variant]
+        source = docs[4]
+        req = GenRequest(title=source.title, author=source.author, category=source.category,
+                         max_len=10, strategy="greedy")
+        result = generate(model, vocab, attrs, req)
+        doc = IndexedDocument(
+            id="generated",
+            text_ids=tuple(vocab.id_for(t) for t in result.tokens),
+            title_ids=tuple(vocab.id_for(t) for t in source.title),
+            author_id=attrs.authors.index[source.author],
+            category_id=attrs.categories.index[source.category],
+        )
+        forced = model.forward_document(doc, want_caches=False).trace
+        for got, want in ((result.trace.alpha, forced.alpha), (result.trace.beta, forced.beta)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert result.trace.attr_names == forced.attr_names

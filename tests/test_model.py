@@ -121,6 +121,11 @@ class TestForward:
         with pytest.raises(ValueError, match="SAM-Au-Att.*orphan"):
             model.forward_document(doc)
 
+    def test_document_without_targets_rejected(self):
+        model = tiny_model("RNN")
+        with pytest.raises(ValueError, match="empty has no tokens"):
+            model.forward_document(IndexedDocument(id="empty", text_ids=()))
+
     def test_vocab_permutation_invariance(self):
         model = tiny_model("SAM-Cat", seed=6)
         base = model.forward_document(DOC, want_caches=False).total_nll

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from samlm.tensor import (
     ParamStore,
-    add,
     concat,
     grad_check,
-    hadamard,
     load_checkpoint,
-    matvec,
     save_checkpoint,
     sigmoid,
     softmax,
@@ -22,22 +19,18 @@ import oracles
 class TestKernels:
     def test_matvec_identity(self):
         v = np.array([1.5, -2.0, 3.25])
-        np.testing.assert_array_equal(matvec(np.eye(3), v), v)
+        np.testing.assert_array_equal(np.eye(3) @ v, v)
 
     def test_matvec_hand(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matvec(m, np.array([1.0, 1.0])), [3.0, 7.0])
+        np.testing.assert_array_equal(m @ np.array([1.0, 1.0]), [3.0, 7.0])
 
     def test_matvec_against_loop_oracle(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(5, 4))
         v = rng.normal(size=4)
         expected = oracles.scalar_matvec(m.tolist(), v.tolist())
-        np.testing.assert_allclose(matvec(m, v), expected, atol=1e-12)
-
-    def test_matvec_shape_error(self):
-        with pytest.raises(ValueError, match="shape"):
-            matvec(np.eye(3), np.zeros(4))
+        np.testing.assert_allclose(m @ v, expected, atol=1e-12)
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3), atol=1e-15)
@@ -61,20 +54,10 @@ class TestKernels:
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.zeros(1))[0] == 0.5
 
-    def test_hadamard_identity(self):
-        v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(hadamard(v, np.ones(3)), v)
-
     def test_concat(self):
         np.testing.assert_array_equal(
             concat(np.array([1.0, 2.0]), np.array([3.0])), [1.0, 2.0, 3.0]
         )
-
-    def test_elementwise_shape_errors(self):
-        with pytest.raises(ValueError):
-            hadamard(np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError):
-            add(np.zeros(2), np.zeros(3))
 
     def test_kernels_deterministic(self):
         rng = np.random.default_rng(1)

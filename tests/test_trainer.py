@@ -5,7 +5,7 @@ import samlm.trainer as trainer_mod
 from samlm.corpus import Document
 from samlm.model import ModelConfig, build
 from samlm.tensor import ParamStore
-from samlm.trainer import Adam, EpochStats, TrainConfig, adam_step, train, write_history_csv
+from samlm.trainer import Adam, EpochStats, TrainConfig, train, write_history_csv
 
 import oracles
 import synth
@@ -57,13 +57,6 @@ class TestAdam:
         p.grad[0] = np.nan
         with pytest.raises(ValueError, match="theta"):
             adam.step()
-
-    def test_adam_step_wrapper_overrides_lr(self):
-        store, p = self._scalar_store(0.0)
-        state = Adam(store, lr=0.001)
-        p.grad[0] = 1.0
-        adam_step(store, state, lr=0.5)
-        np.testing.assert_allclose(p.value[0], -0.5, rtol=1e-4)
 
 
 def small_pipeline(variant, docs, d=16, d_tilde=8, seed=0):
