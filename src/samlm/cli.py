@@ -135,16 +135,9 @@ def _setting(args, config: dict, key: str, default):
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
     return json.loads(Path(args.config).read_text(encoding="utf-8"))
-
-
-def _out_dir(args, config: dict) -> Path:
-    out = _setting(args, config, "out", Path("samlm-out"))
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_run(model_path: Path) -> tuple[SamModel, Vocabulary, AttributeInventory]:
@@ -194,9 +187,7 @@ def _indexed(path: Path, vocab, attrs):
     return corpus.index_corpus(corpus.ingest(path), vocab, attrs)
 
 
-def cmd_ingest(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_ingest(args, config: dict, out: Path) -> int:
     docs = corpus.ingest(args.data)
     vocab = corpus.build_vocab(
         docs,
@@ -217,9 +208,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_lda_label(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_lda_label(args, config: dict, out: Path) -> int:
     docs = corpus.ingest(args.data)
     vocab = corpus.build_vocab(docs, cap=_setting(args, config, "cap", 10000))
     attrs = corpus.build_attributes(docs)
@@ -244,9 +233,7 @@ def cmd_lda_label(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_train(args, config: dict, out: Path) -> int:
     train_docs = corpus.ingest(args.train_path)
     valid_docs = corpus.ingest(args.valid_path)
     vocab = corpus.build_vocab(
@@ -289,9 +276,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_eval(args, config: dict, out: Path) -> int:
     sam, vocab, attrs = _load_run(args.model)
     docs = _indexed(args.data, vocab, attrs)
     report = evaluate.perplexity(
@@ -302,11 +287,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_word_delta(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    model_a = load_model(args.model_a)
+def cmd_word_delta(args, config: dict, out: Path) -> int:
+    model_a, vocab_a, attrs_a = _load_run(args.model_a)
     model_b, vocab, attrs = _load_run(args.model_b)
+    for what, read_by_a, mine, theirs in (
+        ("vocabulary", True, vocab_a, vocab),
+        ("author inventory", model_a.variant.author, attrs_a.authors, attrs.authors),
+        ("category inventory", model_a.variant.category, attrs_a.categories, attrs.categories),
+    ):
+        if read_by_a and mine != theirs:
+            raise ValueError(f"{args.model_a} and {args.model_b} differ in their {what}; both must score the same ids")
     docs = _indexed(args.data, vocab, attrs)
     report = evaluate.word_delta(
         model_a,
@@ -322,9 +312,7 @@ def cmd_word_delta(args) -> int:
     return 0
 
 
-def cmd_ngram(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_ngram(args, config: dict, out: Path) -> int:
     train_docs = corpus.ingest(args.train_path)
     vocab = corpus.build_vocab(
         train_docs,
@@ -356,9 +344,7 @@ def _gen_request(args, config) -> generation.GenRequest:
     )
 
 
-def cmd_generate(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_generate(args, config: dict, out: Path) -> int:
     sam, vocab, attrs = _load_run(args.model)
     result = generation.generate(sam, vocab, attrs, _gen_request(args, config))
     attn_path = None
@@ -376,9 +362,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_vary(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_vary(args, config: dict, out: Path) -> int:
     sam, vocab, attrs = _load_run(args.model)
     source = corpus.Document(
         id="vary-source",
@@ -416,9 +400,7 @@ def cmd_vary(args) -> int:
     return 0
 
 
-def cmd_export_attn(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
+def cmd_export_attn(args, config: dict, out: Path) -> int:
     sam, vocab, attrs = _load_run(args.model)
     raw_docs = corpus.ingest(args.data)
     matches = [d for d in raw_docs if d.id == args.doc_id]
@@ -437,8 +419,7 @@ def cmd_export_attn(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    config = _load_config(args)
+def cmd_gradcheck(args, config: dict, out: Path) -> int:
     seed = _setting(args, config, "seed", 0)
     eps = _setting(args, config, "eps", 1e-5)
     tol = _setting(args, config, "tol", 1e-4)
@@ -491,7 +472,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return COMMANDS[args.command](args)
+        config = _load_config(args)
+        out = Path(_setting(args, config, "out", "samlm-out"))
+        if args.command != "gradcheck":  # the only command that writes nothing
+            out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](args, config, out)
     except SystemExit:
         raise
     except Exception as exc:  # runtime failure contract: report and exit 2

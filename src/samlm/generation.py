@@ -10,7 +10,8 @@ import numpy as np
 
 from .attention import AttentionTrace, write_trace_csv
 from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, IndexedDocument, Vocabulary
-from .model import DocState, SamModel, StepOutput
+from .model import DocState, SamModel, StepRecord
+from .tensor import softmax
 
 
 @dataclass
@@ -106,23 +107,22 @@ def _decode(
     req: GenRequest,
     states: list[DocState],
     warnings: list[str],
-    watch: Callable[[list[StepOutput]], None] | None = None,
+    watch: Callable[[list[np.ndarray]], None] | None = None,
 ) -> GenResult:
     """Decode from states[0]. Any further states are stepped beside it on the
-    same tokens, and `watch` sees every step's outputs."""
+    same tokens. Each stepped state goes through the output layer once, and
+    `watch` sees every step's logits, one vector per state."""
     rng = np.random.default_rng(req.seed)
     tokens: list[str] = []
     chosen_probs: list[float] = []
 
-    def choose(outs: list[StepOutput]) -> int | None:
+    def choose(steps: list[StepRecord]) -> int | None:
+        logits = [model.output(step.h) for step in steps]
         if watch is not None:
-            watch(outs)
-        if req.strategy == "greedy":
-            probs = masked_distribution(outs[0].logits)
-            idx = int(np.argmax(probs))
-        else:
-            probs = masked_distribution(outs[0].logits, req.temperature)
-            idx = sample_index(probs, rng)
+            watch(logits)
+        greedy = req.strategy == "greedy"
+        probs = masked_distribution(logits[0], 1.0 if greedy else req.temperature)
+        idx = int(np.argmax(probs)) if greedy else sample_index(probs, rng)
         tokens.append(vocab.token_for(idx))
         chosen_probs.append(float(probs[idx]))
         return None if idx == EOS_ID or len(tokens) == req.max_len else idx
@@ -192,8 +192,8 @@ def style_variation(
 
     divergences: list[float] = []
 
-    def compare(outs: list[StepOutput]) -> None:
-        divergences.append(js_divergence(outs[0].probs, outs[1].probs))
+    def compare(logits: list[np.ndarray]) -> None:
+        divergences.append(js_divergence(softmax(logits[0]), softmax(logits[1])))
 
     original = _decode(model, vocab, req_orig, [state_orig, state_fake], warnings_orig, compare)
     varied = _decode(model, vocab, req_fake, [state_fake], warnings_fake)

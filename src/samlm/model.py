@@ -3,8 +3,10 @@
 Per timestep the model embeds the input word, builds the active attribute
 candidate set (title context via title attention, author and category table
 rows), fuses candidates with attribute attention when there is more than one,
-concatenates the fused context onto the word embedding, steps the main GRU,
-and scores the next word with an affine softmax layer.
+concatenates the fused context onto the word embedding, and steps the main
+GRU. An affine softmax layer scores the next word from each hidden state; it
+never feeds back into the recurrence, so teacher forcing applies it once to
+the stacked states of a whole document and decoding once per stepped state.
 
 Conventions the whole package relies on:
   - the first prediction conditions on the PAD embedding standing in for a
@@ -33,7 +35,7 @@ from .attention import (
 )
 from .corpus import IndexedDocument, PAD_ID
 from .gru import GruCache, GruCell
-from .tensor import ParamStore, softmax
+from .tensor import ParamStore
 
 
 @dataclass(frozen=True)
@@ -125,35 +127,32 @@ class DocState:
 
 
 @dataclass
-class StepCache:
+class StepRecord:
+    """One step of the recurrence: the new state, its attention weights, and
+    what backpropagation through the step needs."""
+
     x_id: int
-    h_prev: np.ndarray
     h: np.ndarray
-    probs: np.ndarray
     gru: GruCache
+    alpha: np.ndarray | None = None
+    beta: np.ndarray | None = None
     title_att: AttentionCache | None = None
     attr_att: AttentionCache | None = None
-    candidate_names: tuple[str, ...] = ()
-
-
-@dataclass
-class StepOutput:
-    h: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-    alpha: np.ndarray | None
-    beta: np.ndarray | None
-    cache: StepCache
 
 
 @dataclass
 class DocForward:
+    """A teacher-forced pass. With caches it also holds the step records,
+    the stacked hidden states (T x d) and the next-word distributions (T x V)."""
+
     doc: IndexedDocument
     state: DocState
     total_nll: float
     per_word_nll: list[float]
     trace: AttentionTrace
-    caches: list[StepCache] = field(default_factory=list)
+    caches: list[StepRecord] = field(default_factory=list)
+    hidden: np.ndarray | None = None
+    probs: np.ndarray | None = None
 
 
 class SamModel:
@@ -227,8 +226,8 @@ class SamModel:
             state.bow_vec = self.bow_W.value @ state.mean_emb
         return state
 
-    def step(self, x_id: int, h_prev: np.ndarray, state: DocState) -> StepOutput:
-        """One teacher-forced / decoding step conditioned on the doc state."""
+    def step(self, x_id: int, h_prev: np.ndarray, state: DocState) -> StepRecord:
+        """One recurrence step conditioned on the doc state; no output layer."""
         spec = self.variant
         x_emb = self.E.value[x_id]
         alpha = beta = None
@@ -256,29 +255,21 @@ class SamModel:
             w = x_emb
 
         h, g_cache = self.main_cell.step(w, h_prev)
-        logits = self.Wout.value @ h + self.bout.value
-        probs = softmax(logits)
-        cache = StepCache(
-            x_id=x_id,
-            h_prev=h_prev,
-            h=h,
-            probs=probs,
-            gru=g_cache,
-            title_att=t_cache,
-            attr_att=a_cache,
-            candidate_names=spec.candidate_names,
-        )
-        return StepOutput(h=h, logits=logits, probs=probs, alpha=alpha, beta=beta, cache=cache)
+        return StepRecord(x_id, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
+
+    def output(self, h: np.ndarray) -> np.ndarray:
+        """Next-word logits of one hidden state (d) or a stack of them (T x d)."""
+        return h @ self.Wout.value.T + self.bout.value
 
     def unroll(
         self,
         states: list[DocState],
-        choose: Callable[[list[StepOutput]], int | None],
+        choose: Callable[[list[StepRecord]], int | None],
         want_trace: bool = True,
     ) -> AttentionTrace:
         """The recurrence loop: step `states` in lockstep on one input stream.
 
-        The stream starts at PAD. After each step `choose` gets the outputs,
+        The stream starts at PAD. After each step `choose` gets the records,
         one per state, and returns the next input id or None to stop: the
         next target under teacher forcing, the chosen token when decoding.
         Returns the attention trace of the first state: title-word weights
@@ -290,12 +281,12 @@ class SamModel:
         betas: list[np.ndarray | None] = []
         x_id = PAD_ID
         while x_id is not None:
-            outs = [self.step(x_id, h, state) for h, state in zip(hs, states)]
+            steps = [self.step(x_id, h, state) for h, state in zip(hs, states)]
             if want_trace:
-                alphas.append(outs[0].alpha)
-                betas.append(outs[0].beta)
-            hs = [out.h for out in outs]
-            x_id = choose(outs)
+                alphas.append(steps[0].alpha)
+                betas.append(steps[0].beta)
+            hs = [s.h for s in steps]
+            x_id = choose(steps)
 
         def stack(cols):
             return np.column_stack(cols) if cols and cols[0] is not None else None
@@ -307,30 +298,33 @@ class SamModel:
     def forward_document(
         self, doc: IndexedDocument, want_trace: bool = True, want_caches: bool = True
     ) -> DocForward:
-        """Teacher-forced pass over the document's main text, EOS included."""
+        """Teacher-forced pass over the document's main text, EOS included.
+
+        The recurrence runs first; the output layer then scores every
+        target in one product over the stacked hidden states.
+        """
         state = self.prepare(doc)
         targets = doc.text_ids
         if not targets:
             raise ValueError(f"document {doc.id} has no tokens to predict")
-        nlls: list[float] = []
-        caches: list[StepCache] = []
+        steps: list[StepRecord] = []
 
-        def teacher(outs: list[StepOutput]) -> int | None:
-            t = len(nlls)
-            nlls.append(-float(np.log(outs[0].probs[targets[t]])))
-            if want_caches:
-                caches.append(outs[0].cache)
-            return targets[t] if t + 1 < len(targets) else None
+        def teacher(new: list[StepRecord]) -> int | None:
+            steps.append(new[0])
+            return targets[len(steps) - 1] if len(steps) < len(targets) else None
 
         trace = self.unroll([state], teacher, want_trace)
-        return DocForward(
-            doc=doc,
-            state=state,
-            total_nll=float(sum(nlls)),
-            per_word_nll=nlls,
-            trace=trace,
-            caches=caches,
-        )
+        hidden = np.stack([s.h for s in steps])
+        shifted = self.output(hidden)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        exps = np.exp(shifted)
+        sums = exps.sum(axis=1)
+        nlls = np.log(sums) - shifted[np.arange(len(targets)), targets]
+        fwd = DocForward(doc, state, float(nlls.sum()), nlls.tolist(), trace)
+        if want_caches:
+            exps /= sums[:, None]
+            fwd.caches, fwd.hidden, fwd.probs = steps, hidden, exps
+        return fwd
 
     def document_nll(self, doc: IndexedDocument) -> tuple[float, int]:
         fwd = self.forward_document(doc, want_trace=False, want_caches=False)
@@ -338,52 +332,50 @@ class SamModel:
 
     # ------------------------------------------------------------ backward
 
-    def backward_document(self, fwd: DocForward, weights=None) -> None:
-        """Accumulate gradients of the (weighted) summed NLL into the store.
+    def backward_document(self, fwd: DocForward) -> None:
+        """Accumulate gradients of the summed NLL into the store.
 
-        Full backpropagation through time: output layer, main GRU, both
-        attentions, the state-init map, the bag-of-words projection, the
-        title encoder, and the shared embeddings.
+        Full backpropagation through time: output layer (one product over
+        the whole document), main GRU, both attentions, the state-init map,
+        the bag-of-words projection, the title encoder, and the shared
+        embeddings.
         """
         spec = self.variant
         state = fwd.state
         targets = fwd.doc.text_ids
         if len(fwd.caches) != len(targets):
             raise ValueError("backward needs the caches of a full forward pass")
-        if weights is None:
-            weights = [1.0] * len(targets)
         d = self.config.d
+
+        dlogits = fwd.probs.copy()
+        dlogits[np.arange(len(targets)), targets] -= 1.0
+        self.Wout.grad += dlogits.T @ fwd.hidden
+        self.bout.grad += dlogits.sum(axis=0)
+        dhidden = dlogits @ self.Wout.value
 
         d_states = [np.zeros(self.config.d_tilde) for _ in state.enc.states] if state.enc else None
         dbow = np.zeros(self.config.d_tilde) if spec.bow else None
         dh_next = np.zeros(d)
 
-        for cache, target, weight in zip(reversed(fwd.caches), reversed(targets), reversed(weights)):
-            dlogits = cache.probs.copy()
-            dlogits[target] -= 1.0
-            if weight != 1.0:
-                dlogits *= weight
-            self.Wout.grad += np.outer(dlogits, cache.h)
-            self.bout.grad += dlogits
-            dh = self.Wout.value.T @ dlogits + dh_next
-
-            dw, dh_prev = self.main_cell.backward(cache.gru, dh)
+        for t in range(len(targets) - 1, -1, -1):
+            cache = fwd.caches[t]
+            dw, dh_prev = self.main_cell.backward(cache.gru, dhidden[t] + dh_next)
             self.E.grad[cache.x_id] += dw[:d]
             if spec.bow:
                 dbow += dw[d:]
-            elif cache.candidate_names:
+            elif spec.candidate_names:
                 dcontext = dw[d:]
                 if cache.attr_att is not None:
                     dcands, dh_att = self.attr_att.backward(cache.attr_att, dcontext)
                     dh_prev += dh_att
                 else:
                     dcands = [dcontext]
-                for name, dcand in zip(cache.candidate_names, dcands):
+                for name, dcand in zip(spec.candidate_names, dcands):
                     if name == "title":
                         dvecs, dh_att = self.title_att.backward(cache.title_att, dcand)
                         dh_prev += dh_att
-                        for t, dv in enumerate(dvecs):
-                            d_states[t] += dv
+                        for i, dv in enumerate(dvecs):
+                            d_states[i] += dv
                     elif name == "author":
                         self.author_table.grad[state.author_id] += dcand
                     else:

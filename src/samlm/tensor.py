@@ -152,20 +152,32 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
-    """Read a checkpoint back into a name -> array map plus the stored config."""
+    """Read a checkpoint back into a name -> array map plus the stored config.
+
+    Raises ValueError naming the file and the tensor on a bad shape, a
+    truncated or non-finite block, or bytes left after the last block.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {header.get('format')}")
         tensors: dict[str, np.ndarray] = {}
+        name = None
         for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
+            name, shape = spec["name"], tuple(spec["shape"])
+            if not all(isinstance(n, int) and n >= 1 for n in shape):
+                raise ValueError(f"checkpoint {path}: tensor {name} has invalid shape {list(shape)}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise ValueError(f"truncated checkpoint reading {spec['name']}")
-            tensors[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+                raise ValueError(f"checkpoint {path}: truncated reading tensor {name}")
+            value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(value).all():
+                raise ValueError(f"checkpoint {path}: tensor {name} holds non-finite values")
+            tensors[name] = value
+        if fh.read(1):
+            raise ValueError(f"checkpoint {path}: trailing bytes after the last tensor {name}")
     return tensors, header.get("config")
 
 

@@ -131,6 +131,24 @@ def scalar_forward_document(model, doc):
     return total, per_word
 
 
+def scalar_output_layer(wout, bout, hidden, targets):
+    """The affine softmax output layer token by token: returns the per-token
+    distributions and the gradients of the summed NLL w.r.t. Wout and bout."""
+    vocab, d = len(wout), len(wout[0])
+    dwout = [[0.0] * d for _ in range(vocab)]
+    dbout = [0.0] * vocab
+    all_probs = []
+    for h, target in zip(hidden, targets):
+        probs = scalar_softmax([dot(wout[v], h) + bout[v] for v in range(vocab)])
+        all_probs.append(probs)
+        for v in range(vocab):
+            g = probs[v] - (1.0 if v == target else 0.0)
+            dbout[v] += g
+            for j in range(d):
+                dwout[v][j] += g * h[j]
+    return all_probs, dwout, dbout
+
+
 class KneserNeyOracle:
     """Direct-summation interpolated Kneser-Ney.
 

@@ -12,6 +12,7 @@ from samlm.cli import build_parser, main
 from samlm.corpus import write_jsonl
 
 import synth
+from test_tensor import CHECKPOINT_DEFECTS, corrupt_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,51 @@ class TestPipeline:
             assert f"has {len(edited)} entries" in err and f"vocab_size {len(lines)}" in err
         assert not (out / "perplexity.csv").exists()
 
+    @pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+    def test_damaged_checkpoint_exits_two(self, corpus_files, trained_run, tmp_path, capsys, defect):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        expected = corrupt_checkpoint(run / "best.ckpt", defect)
+        args = ["eval", "--model", str(run / "best.ckpt"), "--data", str(corpus_files / "test.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(run / "best.ckpt") in err and expected in err
+
+    def test_word_delta_rejects_runs_with_different_vocabularies(self, tmp_path, capsys):
+        # one run per author: same vocabulary size, disjoint words
+        docs = synth.two_author_corpus(60, seed=1)
+        runs = {}
+        for author in ("alice", "bob"):
+            half = [d for d in docs if d.author == author]
+            data = tmp_path / f"{author}.jsonl"
+            write_jsonl(half, data)
+            runs[author] = tmp_path / f"run-{author}"
+            assert main(["train", "--train", str(data), "--valid", str(data), "--d", "4",
+                         "--max-epochs", "1", "--out", str(runs[author])]) == 0
+        sizes = [len((run / "vocab.txt").read_text().splitlines()) for run in runs.values()]
+        assert sizes[0] == sizes[1]
+        capsys.readouterr()
+        model_a, model_b = (str(runs[a] / "best.ckpt") for a in ("alice", "bob"))
+        code = main(["word-delta", "--model-a", model_a, "--model-b", model_b,
+                     "--data", str(tmp_path / "bob.jsonl"), "--out", str(tmp_path / "delta")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert model_a in err and model_b in err and "vocabulary" in err
+        assert not (tmp_path / "delta" / "word_delta.csv").exists()
+
+    def test_word_delta_rejects_author_inventory_mismatch(self, corpus_files, trained_run, tmp_path, capsys):
+        # same vocabulary, author names swapped: SAM-Au-Att would read the wrong rows
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        lines = (run / "authors.txt").read_text().splitlines()
+        (run / "authors.txt").write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        assert lines[1:] != lines[:0:-1]
+        code = main(["word-delta", "--model-a", str(run / "best.ckpt"),
+                     "--model-b", str(trained_run / "best.ckpt"),
+                     "--data", str(corpus_files / "test.jsonl"), "--out", str(tmp_path / "delta")])
+        assert code == 2
+        assert "author inventory" in capsys.readouterr().err
+
     def test_lda_label(self, tmp_path):
         docs, _ = synth.planted_topic_corpus(2, docs_per_topic=8, doc_len=20, seed=5)
         src = tmp_path / "unlabeled.jsonl"
@@ -236,10 +282,12 @@ class TestPipeline:
         assert all(rec["category"].startswith("topic-") for rec in labeled)
         assert (out / "topic_words.txt").read_text().startswith("topic-0:")
 
-    def test_gradcheck_command(self, capsys):
-        assert main(["gradcheck", "--dims", "tiny"]) == 0
+    def test_gradcheck_command(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gradcheck", "--dims", "tiny", "--out", "never"]) == 0
         out = capsys.readouterr().out
         assert "SAM-Title-State-Au-Att" in out and "PASS" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_with_flag_override(self, corpus_files, tmp_path):
         config = tmp_path / "config.json"
@@ -256,6 +304,20 @@ class TestPipeline:
         )
         assert code == 0
         assert (tmp_path / "flags-win" / "kn2.counts").exists()
+
+    def test_config_file_without_flags(self, corpus_files, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"order": 3, "out": str(tmp_path / "from-config")}))
+        code = main(
+            [
+                "ngram",
+                "--config", str(config),
+                "--train", str(corpus_files / "train.jsonl"),
+                "--data", str(corpus_files / "test.jsonl"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "from-config" / "kn3.counts").exists()
 
     def test_console_entry_point(self):
         # the child imports the same samlm as this process, installed or not

@@ -16,6 +16,7 @@ from samlm.generation import (
 )
 from samlm.attention import read_trace_csv
 from samlm.model import VARIANTS, ModelConfig, SamModel, build
+from samlm.tensor import softmax
 from samlm.trainer import TrainConfig, train
 
 import synth
@@ -93,6 +94,20 @@ def every_variant():
 
 
 AUTHOR_VARIANTS = sorted(name for name, spec in VARIANTS.items() if spec.author)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named SamModel methods from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(SamModel, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SamModel, name, counted)
+    return counts
 
 
 class TestSampler:
@@ -279,23 +294,29 @@ class TestOneRecurrence:
     @pytest.mark.parametrize("strategy", ["greedy", "sample"])
     def test_style_variation_makes_2L_plus_L_prime_steps(self, every_variant, variant, strategy, monkeypatch):
         models, vocab, attrs, docs = every_variant
-        counts = {"step": 0, "prepare": 0}
-        step, prepare = SamModel.step, SamModel.prepare
-
-        def counted_step(self, *args):
-            counts["step"] += 1
-            return step(self, *args)
-
-        def counted_prepare(self, *args):
-            counts["prepare"] += 1
-            return prepare(self, *args)
-
-        monkeypatch.setattr(SamModel, "step", counted_step)
-        monkeypatch.setattr(SamModel, "prepare", counted_prepare)
+        counts = count_calls(monkeypatch, "step", "prepare")
         out = style_variation(models[variant], vocab, attrs, docs[0], fake_author="bob",
                               max_len=12, strategy=strategy, seed=5)
         L, L_varied = len(out.original.tokens), len(out.varied.tokens)
         assert counts == {"step": 2 * L + L_varied, "prepare": 2}
+
+    @pytest.mark.parametrize("variant", AUTHOR_VARIANTS)
+    @pytest.mark.parametrize("strategy", ["greedy", "sample"])
+    def test_output_layer_runs_once_per_step(self, every_variant, variant, strategy, monkeypatch):
+        # decoding scores each stepped state once: L calls for generate and
+        # 2L + L' for style_variation, whose divergence reuses those logits
+        models, vocab, attrs, docs = every_variant
+        counts = count_calls(monkeypatch, "step", "output")
+        source = docs[0]
+        req = GenRequest(title=source.title, author=source.author, category=source.category,
+                         max_len=12, strategy=strategy, seed=5)
+        L = len(generate(models[variant], vocab, attrs, req).tokens)
+        assert counts == {"step": L, "output": L}
+        counts.update(step=0, output=0)
+        out = style_variation(models[variant], vocab, attrs, source, fake_author="bob",
+                              max_len=12, strategy=strategy, seed=5)
+        L, L_varied = len(out.original.tokens), len(out.varied.tokens)
+        assert counts == {"step": 2 * L + L_varied, "output": 2 * L + L_varied}
 
     @pytest.mark.parametrize("variant", AUTHOR_VARIANTS)
     @pytest.mark.parametrize("strategy", ["greedy", "sample"])
@@ -316,9 +337,10 @@ class TestOneRecurrence:
             hs = [state.h0 for state in streams]
             divergences = []
             for x_id in [PAD_ID] + ids[:-1]:
-                outs = [model.step(x_id, h, state) for h, state in zip(hs, streams)]
-                divergences.append(js_divergence(outs[0].probs, outs[1].probs))
-                hs = [o.h for o in outs]
+                steps = [model.step(x_id, h, state) for h, state in zip(hs, streams)]
+                p, q = (softmax(model.Wout.value @ s.h + model.bout.value) for s in steps)
+                divergences.append(js_divergence(p, q))
+                hs = [s.h for s in steps]
             assert out.divergence == float(np.mean(divergences))
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,31 @@ class TestParamStore:
         assert not p.grad.any()
 
 
+CHECKPOINT_DEFECTS = ["trailing", "nan", "negative_shape", "truncated"]
+
+
+def corrupt_checkpoint(path, defect):
+    """Damage the last tensor block of a saved checkpoint in place; returns
+    that tensor's name and the message the loader should give."""
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    last = header["tensors"][-1]
+    if defect == "trailing":
+        body += b"\0" * 8
+        expected = f"trailing bytes after the last tensor {last['name']}"
+    elif defect == "nan":
+        body = body[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+        expected = f"tensor {last['name']} holds non-finite values"
+    elif defect == "negative_shape":
+        last["shape"] = [-n for n in last["shape"]]
+        expected = f"tensor {last['name']} has invalid shape"
+    else:
+        body = body[:-8]
+        expected = f"truncated reading tensor {last['name']}"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    return expected
+
+
 class TestCheckpoint:
     def _store(self, seed):
         store = ParamStore()
@@ -117,6 +144,15 @@ class TestCheckpoint:
         save_checkpoint(p1, self._store(5), config=None)
         save_checkpoint(p2, self._store(5), config=None)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+    def test_damaged_checkpoint_rejected_naming_file_and_tensor(self, tmp_path, defect):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._store(3), config={"d": 3})
+        expected = corrupt_checkpoint(path, defect)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and expected in str(err.value)
 
     def test_little_endian_payload(self, tmp_path):
         store = ParamStore()
