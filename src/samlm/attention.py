@@ -21,9 +21,10 @@ from .tensor import Param, ParamStore, softmax
 
 @dataclass
 class TitleEncoding:
-    """Per-word encoder states for one title, left to right from zero state."""
+    """Encoder states for one title, one row per word (n x d_tilde), left to
+    right from the zero state."""
 
-    states: list[np.ndarray]
+    states: np.ndarray
     caches: list[GruCache]
 
     @property
@@ -38,18 +39,19 @@ def encode_title(cell: GruCell, title_ids, embeddings: np.ndarray) -> TitleEncod
     """Run the title GRU over the title's word embeddings."""
     if not title_ids:
         raise ValueError("cannot encode an empty title")
-    states, caches = [], []
+    states = np.empty((len(title_ids), cell.hidden_dim))
+    caches = []
     h = np.zeros(cell.hidden_dim)
-    for token_id in title_ids:
+    for i, token_id in enumerate(title_ids):
         h, cache = cell.step(embeddings[token_id], h)
-        states.append(h)
+        states[i] = h
         caches.append(cache)
     return TitleEncoding(states=states, caches=caches)
 
 
 @dataclass
 class AttentionCache:
-    vectors: list[np.ndarray]
+    vectors: np.ndarray
     h_prev: np.ndarray
     mh: np.ndarray
     weights: np.ndarray
@@ -62,39 +64,37 @@ class BilinearAttention:
         self.M: Param = store.add(name, (attr_dim, hidden_dim), rng=rng)
 
     def attend(
-        self, vectors: list[np.ndarray], h_prev: np.ndarray
+        self, vectors: np.ndarray, h_prev: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-        """Return (context, weights, cache) for a non-empty candidate list."""
-        if not vectors:
+        """Return (context, weights, cache) for a non-empty candidate array,
+        one candidate per row."""
+        if len(vectors) == 0:
             raise ValueError("attention over an empty candidate set")
         mh = self.M.value @ h_prev
-        scores = np.array([v @ mh for v in vectors])
-        weights = softmax(scores)
-        context = np.zeros_like(vectors[0])
-        for w_t, v in zip(weights, vectors):
-            context += w_t * v
+        weights = softmax(vectors @ mh)
+        context = weights @ vectors
         return context, weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
 
     def backward(
         self, cache: AttentionCache, dcontext: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chain rule through the weighted sum, softmax, and bilinear score.
 
-        Accumulates into M's gradient; returns per-candidate gradients and the
-        gradient w.r.t. h_prev.
+        Returns the candidate gradients (one row per candidate), the gradient
+        w.r.t. h_prev, and u, for which M's gradient is outer(u, h_prev);
+        `add_weight_grads` forms that once for a run of steps.
         """
         weights = cache.weights
-        dweights = np.array([dcontext @ v for v in cache.vectors])
-        dvectors = [w_t * dcontext for w_t in weights]
+        dweights = cache.vectors @ dcontext
         dscores = weights * (dweights - weights @ dweights)
-        u = np.zeros_like(cache.mh)
-        for ds_t, v in zip(dscores, cache.vectors):
-            u += ds_t * v
-        self.M.grad += np.outer(u, cache.h_prev)
+        u = dscores @ cache.vectors
         dh_prev = self.M.value.T @ u
-        for t, ds_t in enumerate(dscores):
-            dvectors[t] = dvectors[t] + ds_t * cache.mh
-        return dvectors, dh_prev
+        dvectors = np.outer(weights, dcontext) + np.outer(dscores, cache.mh)
+        return dvectors, dh_prev, u
+
+    def add_weight_grads(self, caches: list[AttentionCache], us: list[np.ndarray]) -> None:
+        """Accumulate M's gradient over a run of steps in one product."""
+        self.M.grad += np.stack(us).T @ np.stack([cache.h_prev for cache in caches])
 
 
 @dataclass

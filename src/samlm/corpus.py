@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 UNK, EOS, PAD = "<unk>", "<eos>", "<pad>"
 SPECIALS = (UNK, EOS, PAD)
 UNK_ID, EOS_ID, PAD_ID = 0, 1, 2
@@ -69,7 +71,8 @@ class Vocabulary:
         return self.tokens[idx]
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path, n_specials: int = 3) -> "Vocabulary":
@@ -91,6 +94,13 @@ def _parse_tokens(value, field: str, line_no: int) -> tuple[str, ...]:
     if not isinstance(value, str):
         raise ValueError(f"{field} must be a string at line {line_no}")
     return tuple(value.split())
+
+
+def _parse_attribute(record: dict, field: str, line_no: int) -> str | None:
+    value = record.get(field)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{field} must be a string or null at line {line_no}, got {type(value).__name__}")
+    return value
 
 
 def ingest(path, format: str = "jsonl") -> list[Document]:
@@ -119,8 +129,8 @@ def ingest(path, format: str = "jsonl") -> list[Document]:
                     id=str(record.get("id", f"doc{line_no}")),
                     text=text,
                     title=title,
-                    author=record.get("author"),
-                    category=record.get("category"),
+                    author=_parse_attribute(record, "author", line_no),
+                    category=_parse_attribute(record, "category", line_no),
                 )
             )
     if not docs:

@@ -65,29 +65,41 @@ class GruCell:
         h = (1.0 - z) * c + z * h_prev
         return h, GruCache(w=w, h_prev=h_prev, z=z, r=r, hr=hr, c=c)
 
-    def backward(self, cache: GruCache, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Accumulate parameter gradients; return (dw, dh_prev)."""
-        z, r, c, hr = cache.z, cache.r, cache.c, cache.hr
-        w, h_prev = cache.w, cache.h_prev
+    def backward(
+        self, cache: GruCache, dh: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Return (dw, dh_prev, (da_z, da_r, da_c)), the last being the gate
+        pre-activation gradients. The weight gradients are left to
+        `add_weight_grads`, which forms them once for a run of steps."""
+        z, r, c, h_prev = cache.z, cache.r, cache.c, cache.h_prev
 
         dz = dh * (h_prev - c)
         dc = dh * (1.0 - z)
         dh_prev = dh * z
 
         da_c = dc * (1.0 - c * c)
-        self.Wc.grad += np.outer(da_c, w)
-        self.Uc.grad += np.outer(da_c, hr)
         dhr = self.Uc.value.T @ da_c
         dh_prev += dhr * r
         dr = dhr * h_prev
 
         da_r = dr * r * (1.0 - r)
         da_z = dz * z * (1.0 - z)
-        self.Wr.grad += np.outer(da_r, w)
-        self.Ur.grad += np.outer(da_r, h_prev)
-        self.Wz.grad += np.outer(da_z, w)
-        self.Uz.grad += np.outer(da_z, h_prev)
         dh_prev += self.Ur.value.T @ da_r + self.Uz.value.T @ da_z
 
         dw = self.Wc.value.T @ da_c + self.Wr.value.T @ da_r + self.Wz.value.T @ da_z
-        return dw, dh_prev
+        return dw, dh_prev, (da_z, da_r, da_c)
+
+    def add_weight_grads(self, caches: list[GruCache], das: list[tuple]) -> None:
+        """Accumulate the six weight gradients of a run of steps, given each
+        step's cache and the gate gradients its `backward` returned, with one
+        product per weight over the stacked steps."""
+        da_z, da_r, da_c = (np.stack(g) for g in zip(*das))
+        w = np.stack([cache.w for cache in caches])
+        h_prev = np.stack([cache.h_prev for cache in caches])
+        hr = np.stack([cache.hr for cache in caches])
+        self.Wz.grad += da_z.T @ w
+        self.Uz.grad += da_z.T @ h_prev
+        self.Wr.grad += da_r.T @ w
+        self.Ur.grad += da_r.T @ h_prev
+        self.Wc.grad += da_c.T @ w
+        self.Uc.grad += da_c.T @ hr

@@ -156,12 +156,13 @@ class DocForward:
 
 
 class SamModel:
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+        """Parameters drawn from `rng`; with None they are allocated but left
+        unset, for a caller that loads every tensor next (`load_model`)."""
         spec = config.validate()
         self.config = config
         self.variant = spec
         self.store = ParamStore()
-        rng = np.random.default_rng(config.seed)
         d, dt, v = config.d, config.d_tilde, config.vocab_size
 
         self.E = self.store.add("E", (v, d), rng=rng)
@@ -249,7 +250,7 @@ class SamModel:
             beta = np.ones(1)
             w = tensor.concat(x_emb, candidates[0])
         elif candidates:
-            context, beta, a_cache = self.attr_att.attend(candidates, h_prev)
+            context, beta, a_cache = self.attr_att.attend(np.array(candidates), h_prev)
             w = tensor.concat(x_emb, context)
         else:
             w = x_emb
@@ -335,53 +336,63 @@ class SamModel:
     def backward_document(self, fwd: DocForward) -> None:
         """Accumulate gradients of the summed NLL into the store.
 
-        Full backpropagation through time: output layer (one product over
-        the whole document), main GRU, both attentions, the state-init map,
-        the bag-of-words projection, the title encoder, and the shared
-        embeddings.
+        Full backpropagation through time: output layer, main GRU, both
+        attentions, the state-init map, the bag-of-words projection, the
+        title encoder, and the shared embeddings. Only the recurrence runs
+        step by step; every weight matrix's gradient is one product over the
+        stacked steps of the document (or of the title, for the encoder).
         """
         spec = self.variant
         state = fwd.state
         targets = fwd.doc.text_ids
-        if len(fwd.caches) != len(targets):
+        steps = fwd.caches
+        n = len(targets)
+        if len(steps) != n:
             raise ValueError("backward needs the caches of a full forward pass")
         d = self.config.d
 
         dlogits = fwd.probs.copy()
-        dlogits[np.arange(len(targets)), targets] -= 1.0
+        dlogits[np.arange(n), targets] -= 1.0
         self.Wout.grad += dlogits.T @ fwd.hidden
         self.bout.grad += dlogits.sum(axis=0)
         dhidden = dlogits @ self.Wout.value
 
-        d_states = [np.zeros(self.config.d_tilde) for _ in state.enc.states] if state.enc else None
+        d_states = np.zeros_like(state.enc.states) if state.enc is not None else None
         dbow = np.zeros(self.config.d_tilde) if spec.bow else None
+        gate_grads: list = [None] * n
+        title_us: list = [None] * n
+        attr_us: list = [None] * n
         dh_next = np.zeros(d)
 
-        for t in range(len(targets) - 1, -1, -1):
-            cache = fwd.caches[t]
-            dw, dh_prev = self.main_cell.backward(cache.gru, dhidden[t] + dh_next)
-            self.E.grad[cache.x_id] += dw[:d]
+        for t in range(n - 1, -1, -1):
+            step = steps[t]
+            dw, dh_prev, gate_grads[t] = self.main_cell.backward(step.gru, dhidden[t] + dh_next)
+            self.E.grad[step.x_id] += dw[:d]
             if spec.bow:
                 dbow += dw[d:]
             elif spec.candidate_names:
                 dcontext = dw[d:]
-                if cache.attr_att is not None:
-                    dcands, dh_att = self.attr_att.backward(cache.attr_att, dcontext)
+                if step.attr_att is not None:
+                    dcands, dh_att, attr_us[t] = self.attr_att.backward(step.attr_att, dcontext)
                     dh_prev += dh_att
                 else:
                     dcands = [dcontext]
                 for name, dcand in zip(spec.candidate_names, dcands):
                     if name == "title":
-                        dvecs, dh_att = self.title_att.backward(cache.title_att, dcand)
+                        dvecs, dh_att, title_us[t] = self.title_att.backward(step.title_att, dcand)
                         dh_prev += dh_att
-                        for i, dv in enumerate(dvecs):
-                            d_states[i] += dv
+                        d_states += dvecs
                     elif name == "author":
                         self.author_table.grad[state.author_id] += dcand
                     else:
                         self.category_table.grad[state.category_id] += dcand
             dh_next = dh_prev
 
+        self.main_cell.add_weight_grads([step.gru for step in steps], gate_grads)
+        if self.title_att is not None:
+            self.title_att.add_weight_grads([step.title_att for step in steps], title_us)
+        if self.attr_att is not None:
+            self.attr_att.add_weight_grads([step.attr_att for step in steps], attr_us)
         if spec.state_init:
             self.state_W.grad += np.outer(dh_next, state.enc.last)
             self.state_b.grad += dh_next
@@ -392,17 +403,19 @@ class SamModel:
             for token_id in state.title_ids:
                 self.E.grad[token_id] += dmean
         if state.enc is not None:
+            title_grads: list = [None] * len(state.enc)
             dh_carry = np.zeros(self.config.d_tilde)
-            for t in range(len(state.enc.states) - 1, -1, -1):
-                dw_t, dh_carry = self.title_cell.backward(
+            for t in range(len(state.enc) - 1, -1, -1):
+                dw_t, dh_carry, title_grads[t] = self.title_cell.backward(
                     state.enc.caches[t], d_states[t] + dh_carry
                 )
                 self.E.grad[state.title_ids[t]] += dw_t
+            self.title_cell.add_weight_grads(state.enc.caches, title_grads)
 
 
 def build(config: ModelConfig) -> SamModel:
     """Deterministically initialized model for the given configuration."""
-    return SamModel(config)
+    return SamModel(config, np.random.default_rng(config.seed))
 
 
 def save_model(model: SamModel, path) -> None:
@@ -413,6 +426,6 @@ def load_model(path) -> SamModel:
     values, config = tensor.load_checkpoint(path)
     if config is None:
         raise ValueError(f"checkpoint {path} carries no model config")
-    model = build(ModelConfig(**config))
-    model.store.load_values(values)
+    model = SamModel(ModelConfig(**config), rng=None)
+    model.store.load_values(values, source=f"checkpoint {path}")
     return model

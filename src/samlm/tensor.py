@@ -14,6 +14,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
+
 CHECKPOINT_FORMAT = 1
 INIT_SCALE = 0.1
 
@@ -80,9 +82,8 @@ class ParamStore:
                 raise ValueError("identity init needs a matrix shape")
             value = np.eye(shape[0], shape[1])
         elif init == "uniform":
-            if rng is None:
-                raise ValueError("uniform init needs an rng")
-            value = rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+            # without an rng the tensor is left unset: the caller loads it next
+            value = np.empty(shape) if rng is None else rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
         else:
             raise ValueError(f"unknown init: {init}")
         p = Param(name, np.asarray(value, dtype=np.float64))
@@ -128,23 +129,28 @@ class ParamStore:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
+    def load_values(self, values: dict[str, np.ndarray], source: str = "values") -> None:
+        """Overwrite every parameter from `values`; `source` (a checkpoint
+        path, say) names where they came from in the errors."""
         for name, p in self._params.items():
+            if name not in values:
+                raise ValueError(f"{source}: missing tensor {name}")
             src = values[name]
             if src.shape != p.value.shape:
-                raise ValueError(f"shape mismatch loading {name}: {src.shape} vs {p.shape}")
+                raise ValueError(f"{source}: shape mismatch loading {name}: {src.shape} vs {p.shape}")
             p.value[...] = src
 
 
 def save_checkpoint(path, store: ParamStore, config: dict | None = None) -> None:
-    """Write a JSON header line followed by raw little-endian float64 blocks."""
+    """Write a JSON header line followed by raw little-endian float64 blocks,
+    atomically."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "dtype": "<f8",
         "config": config,
         "tensors": [{"name": p.name, "shape": list(p.shape)} for p in store.params()],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for p in store.params():

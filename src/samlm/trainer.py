@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import IndexedDocument
 from .model import SamModel, save_model
 from .tensor import ParamStore
@@ -195,4 +196,5 @@ def write_history_csv(history: list[EpochStats], path, cfg: TrainConfig | None =
         lines.append(f"{s.epoch},{s.train_ppl:.9g},{s.valid_ppl:.9g},{s.seconds:.3f}")
     if cfg is not None:
         lines.append(f"# clip_norm={cfg.clip_norm} lr={cfg.lr} batch_size={cfg.batch_size} seed={cfg.seed}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

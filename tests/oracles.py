@@ -1,11 +1,15 @@
-"""Independent scalar-loop oracles used to pin expected values.
+"""Independent oracles used to pin expected values.
 
-Everything here is deliberately written with plain Python floats, explicit
-index loops, and no shared code with the package, so a bug in the production
-kernels cannot hide in its own oracle.
+The scalar-loop oracles are deliberately written with plain Python floats,
+explicit index loops, and no shared code with the package, so a bug in the
+production kernels cannot hide in its own oracle. `reference_backward_document`
+is the per-step form of backpropagation through time, which the package's
+per-document weight-gradient products must reproduce.
 """
 
 import math
+
+import numpy as np
 
 from samlm.corpus import PAD_ID
 
@@ -147,6 +151,116 @@ def scalar_output_layer(wout, bout, hidden, targets):
             for j in range(d):
                 dwout[v][j] += g * h[j]
     return all_probs, dwout, dbout
+
+
+def gru_backward_per_step(cell, cache, dh):
+    """One step of the gate block's backward pass, adding its weight
+    gradients to the cell's buffers as outer products; returns (dw, dh_prev)."""
+    z, r, c, hr = cache.z, cache.r, cache.c, cache.hr
+    w, h_prev = cache.w, cache.h_prev
+
+    dz = dh * (h_prev - c)
+    dc = dh * (1.0 - z)
+    dh_prev = dh * z
+
+    da_c = dc * (1.0 - c * c)
+    cell.Wc.grad += np.outer(da_c, w)
+    cell.Uc.grad += np.outer(da_c, hr)
+    dhr = cell.Uc.value.T @ da_c
+    dh_prev += dhr * r
+    dr = dhr * h_prev
+
+    da_r = dr * r * (1.0 - r)
+    da_z = dz * z * (1.0 - z)
+    cell.Wr.grad += np.outer(da_r, w)
+    cell.Ur.grad += np.outer(da_r, h_prev)
+    cell.Wz.grad += np.outer(da_z, w)
+    cell.Uz.grad += np.outer(da_z, h_prev)
+    dh_prev += cell.Ur.value.T @ da_r + cell.Uz.value.T @ da_z
+
+    dw = cell.Wc.value.T @ da_c + cell.Wr.value.T @ da_r + cell.Wz.value.T @ da_z
+    return dw, dh_prev
+
+
+def attention_backward_per_step(att, cache, dcontext):
+    """One step of the bilinear attention's backward pass, candidate by
+    candidate, adding outer(u, h_prev) to M's gradient; returns (per-candidate
+    gradients, dh_prev)."""
+    weights = cache.weights
+    vectors = list(cache.vectors)
+    dweights = np.array([dcontext @ v for v in vectors])
+    dvectors = [w_t * dcontext for w_t in weights]
+    dscores = weights * (dweights - weights @ dweights)
+    u = np.zeros_like(cache.mh)
+    for ds_t, v in zip(dscores, vectors):
+        u += ds_t * v
+    att.M.grad += np.outer(u, cache.h_prev)
+    dh_prev = att.M.value.T @ u
+    for t, ds_t in enumerate(dscores):
+        dvectors[t] = dvectors[t] + ds_t * cache.mh
+    return dvectors, dh_prev
+
+
+def reference_backward_document(model, fwd):
+    """Backpropagation through time with every weight gradient added step by
+    step, from the caches of `model.forward_document(doc)`. Accumulates into
+    the model's gradient buffers, as `backward_document` does."""
+    spec = model.variant
+    state = fwd.state
+    targets = fwd.doc.text_ids
+    d = model.config.d
+
+    dlogits = fwd.probs.copy()
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    model.Wout.grad += dlogits.T @ fwd.hidden
+    model.bout.grad += dlogits.sum(axis=0)
+    dhidden = dlogits @ model.Wout.value
+
+    d_states = [np.zeros(model.config.d_tilde) for _ in state.enc.states] if state.enc is not None else None
+    dbow = np.zeros(model.config.d_tilde) if spec.bow else None
+    dh_next = np.zeros(d)
+
+    for t in range(len(targets) - 1, -1, -1):
+        cache = fwd.caches[t]
+        dw, dh_prev = gru_backward_per_step(model.main_cell, cache.gru, dhidden[t] + dh_next)
+        model.E.grad[cache.x_id] += dw[:d]
+        if spec.bow:
+            dbow += dw[d:]
+        elif spec.candidate_names:
+            dcontext = dw[d:]
+            if cache.attr_att is not None:
+                dcands, dh_att = attention_backward_per_step(model.attr_att, cache.attr_att, dcontext)
+                dh_prev += dh_att
+            else:
+                dcands = [dcontext]
+            for name, dcand in zip(spec.candidate_names, dcands):
+                if name == "title":
+                    dvecs, dh_att = attention_backward_per_step(model.title_att, cache.title_att, dcand)
+                    dh_prev += dh_att
+                    for i, dv in enumerate(dvecs):
+                        d_states[i] += dv
+                elif name == "author":
+                    model.author_table.grad[state.author_id] += dcand
+                else:
+                    model.category_table.grad[state.category_id] += dcand
+        dh_next = dh_prev
+
+    if spec.state_init:
+        model.state_W.grad += np.outer(dh_next, state.enc.last)
+        model.state_b.grad += dh_next
+        d_states[-1] += model.state_W.value.T @ dh_next
+    if spec.bow:
+        model.bow_W.grad += np.outer(dbow, state.mean_emb)
+        dmean = model.bow_W.value.T @ dbow / len(state.title_ids)
+        for token_id in state.title_ids:
+            model.E.grad[token_id] += dmean
+    if state.enc is not None:
+        dh_carry = np.zeros(model.config.d_tilde)
+        for t in range(len(state.enc.states) - 1, -1, -1):
+            dw_t, dh_carry = gru_backward_per_step(
+                model.title_cell, state.enc.caches[t], d_states[t] + dh_carry
+            )
+            model.E.grad[state.title_ids[t]] += dw_t
 
 
 class KneserNeyOracle:

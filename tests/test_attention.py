@@ -38,6 +38,7 @@ class TestEncodeTitle:
         store, cell, E = make_encoder()
         enc = encode_title(cell, (2,), E)
         assert len(enc) == 1
+        assert enc.states.shape == (1, 3)
         np.testing.assert_array_equal(enc.last, enc.states[0])
 
     def test_zero_weights_give_zero_states(self):
@@ -66,14 +67,14 @@ class TestTitleContext:
         store, att = make_attention(3, 5, seed=1)
         rng = np.random.default_rng(1)
         state = rng.uniform(-1, 1, 3)
-        context, weights, _ = att.attend([state], rng.uniform(-1, 1, 5))
+        context, weights, _ = att.attend(state[None, :], rng.uniform(-1, 1, 5))
         np.testing.assert_allclose(weights, [1.0], atol=1e-15)
         np.testing.assert_allclose(context, state, atol=1e-15)
 
     def test_zero_scores_give_uniform_weights_and_mean(self):
         store, att = make_attention(3, 5, zero=True)
         rng = np.random.default_rng(2)
-        states = [rng.uniform(-1, 1, 3) for _ in range(4)]
+        states = rng.uniform(-1, 1, (4, 3))
         context, weights, _ = att.attend(states, rng.uniform(-1, 1, 5))
         np.testing.assert_allclose(weights, 0.25, atol=1e-15)
         np.testing.assert_allclose(context, np.mean(states, axis=0), atol=1e-12)
@@ -82,7 +83,7 @@ class TestTitleContext:
     def test_matches_scalar_oracle(self, seed):
         store, att = make_attention(4, 5, seed=seed)
         rng = np.random.default_rng(200 + seed)
-        states = [rng.uniform(-1, 1, 4) for _ in range(3)]
+        states = rng.uniform(-1, 1, (3, 4))
         h_prev = rng.uniform(-1, 1, 5)
         context, weights, _ = att.attend(states, h_prev)
         exp_context, exp_weights = oracles.scalar_attention(
@@ -94,13 +95,13 @@ class TestTitleContext:
     def test_empty_candidates_rejected(self):
         store, att = make_attention(3, 4)
         with pytest.raises(ValueError, match="empty candidate"):
-            att.attend([], np.zeros(4))
+            att.attend(np.zeros((0, 3)), np.zeros(4))
 
     def test_weights_are_distribution(self):
         store, att = make_attention(3, 4, seed=3)
         rng = np.random.default_rng(3)
         for _ in range(25):
-            vectors = [rng.uniform(-2, 2, 3) for _ in range(rng.integers(1, 6))]
+            vectors = rng.uniform(-2, 2, (rng.integers(1, 6), 3))
             _, weights, _ = att.attend(vectors, rng.uniform(-2, 2, 4))
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) <= 1e-9
@@ -113,11 +114,11 @@ class TestTitleContext:
     def test_permutation_equivariance(self):
         store, att = make_attention(3, 4, seed=6)
         rng = np.random.default_rng(6)
-        vectors = [rng.uniform(-1, 1, 3) for _ in range(4)]
+        vectors = rng.uniform(-1, 1, (4, 3))
         h_prev = rng.uniform(-1, 1, 4)
         context, weights, _ = att.attend(vectors, h_prev)
         perm = [2, 0, 3, 1]
-        context_p, weights_p, _ = att.attend([vectors[i] for i in perm], h_prev)
+        context_p, weights_p, _ = att.attend(vectors[perm], h_prev)
         np.testing.assert_allclose(context_p, context, atol=1e-12)
         np.testing.assert_allclose(weights_p, weights[perm], atol=1e-12)
 
@@ -133,12 +134,13 @@ class TestBackward:
         upstream = rng.uniform(-1, 1, attr_dim)
 
         def f(store):
-            context, _, _ = att.attend([v.value for v in holders], h_holder.value)
+            context, _, _ = att.attend(np.stack([v.value for v in holders]), h_holder.value)
             return float(context @ upstream)
 
         store.zero_grads()
-        context, _, cache = att.attend([v.value for v in holders], h_holder.value)
-        dvectors, dh = att.backward(cache, upstream)
+        context, _, cache = att.attend(np.stack([v.value for v in holders]), h_holder.value)
+        dvectors, dh, u = att.backward(cache, upstream)
+        att.add_weight_grads([cache], [u])
         for v, dv in zip(holders, dvectors):
             v.grad += dv
         h_holder.grad += dh
@@ -159,12 +161,70 @@ class TestBackward:
     def test_zero_upstream(self):
         store, att = make_attention(3, 4, seed=8)
         rng = np.random.default_rng(8)
-        vectors = [rng.uniform(-1, 1, 3) for _ in range(3)]
+        vectors = rng.uniform(-1, 1, (3, 3))
         _, _, cache = att.attend(vectors, rng.uniform(-1, 1, 4))
-        dvectors, dh = att.backward(cache, np.zeros(3))
+        dvectors, dh, u = att.backward(cache, np.zeros(3))
+        att.add_weight_grads([cache], [u])
         assert not dh.any() and not att.M.grad.any()
-        for dv in dvectors:
-            assert not dv.any()
+        assert dvectors.shape == (3, 3) and not dvectors.any()
+
+
+class TestStackedCandidates:
+    def test_single_word_title(self):
+        store, cell, E = make_encoder(d=4, dt=3, seed=11)
+        att_store, att = make_attention(3, 5, seed=11)
+        enc = encode_title(cell, (2,), E)
+        rng = np.random.default_rng(11)
+        context, weights, cache = att.attend(enc.states, rng.uniform(-1, 1, 5))
+        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_allclose(context, enc.last, atol=1e-15)
+        upstream = rng.uniform(-1, 1, 3)
+        dvectors, dh, u = att.backward(cache, upstream)
+        att.add_weight_grads([cache], [u])
+        # one candidate: the softmax is constant, so only the weighted sum passes gradient
+        np.testing.assert_allclose(dvectors, upstream[None, :], atol=1e-15)
+        assert not dh.any() and not u.any() and not att.M.grad.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuting_candidate_rows(self, seed):
+        store, att = make_attention(3, 4, seed=seed)
+        rng = np.random.default_rng(700 + seed)
+        vectors = rng.uniform(-1, 1, (5, 3))
+        h_prev = rng.uniform(-1, 1, 4)
+        upstream = rng.uniform(-1, 1, 3)
+        perm = rng.permutation(5)
+        context, weights, cache = att.attend(vectors, h_prev)
+        dvectors, dh, u = att.backward(cache, upstream)
+        context_p, weights_p, cache_p = att.attend(vectors[perm], h_prev)
+        dvectors_p, dh_p, u_p = att.backward(cache_p, upstream)
+        np.testing.assert_allclose(context_p, context, atol=1e-12)
+        np.testing.assert_allclose(weights_p, weights[perm], atol=1e-12)
+        np.testing.assert_allclose(dvectors_p, dvectors[perm], atol=1e-12)
+        np.testing.assert_allclose(dh_p, dh, atol=1e-12)
+        np.testing.assert_allclose(u_p, u, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backward_over_steps_matches_per_step_oracle(self, seed):
+        store, att = make_attention(3, 4, seed=seed)
+        rng = np.random.default_rng(800 + seed)
+        vectors = rng.uniform(-1, 1, (6, 3))
+        caches, us, dvectors, dhs = [], [], [], []
+        upstreams = rng.uniform(-1, 1, (4, 3))
+        for upstream in upstreams:
+            _, _, cache = att.attend(vectors, rng.uniform(-1, 1, 4))
+            dv, dh, u = att.backward(cache, upstream)
+            caches.append(cache)
+            us.append(u)
+            dvectors.append(dv)
+            dhs.append(dh)
+        att.add_weight_grads(caches, us)
+        stacked = att.M.grad.copy()
+        att.M.grad[...] = 0.0
+        for cache, upstream, dv, dh in zip(caches, upstreams, dvectors, dhs):
+            dv_ref, dh_ref = oracles.attention_backward_per_step(att, cache, upstream)
+            np.testing.assert_allclose(dv, dv_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dh, dh_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked, att.M.grad, rtol=0, atol=1e-12)
 
 
 class TestTraceCsv:

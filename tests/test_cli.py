@@ -228,6 +228,26 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(run / "best.ckpt") in err and expected in err
 
+    def test_checkpoint_missing_a_tensor_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        ckpt = run / "best.ckpt"
+        header_line, body = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["tensors"][0]["name"] = "E_old"
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        args = ["eval", "--model", str(ckpt), "--data", str(corpus_files / "test.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: missing tensor E" in err
+
+    @pytest.mark.parametrize("field, value", [("author", 3), ("category", ["p"])])
+    def test_non_string_attribute_exits_two(self, tmp_path, capsys, field, value):
+        data = tmp_path / "docs.jsonl"
+        data.write_text(json.dumps({"text": "a b", field: "x"}) + "\n" + json.dumps({"text": "c", field: value}) + "\n")
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be a string or null at line 2" in capsys.readouterr().err
+
     def test_word_delta_rejects_runs_with_different_vocabularies(self, tmp_path, capsys):
         # one run per author: same vocabulary size, disjoint words
         docs = synth.two_author_corpus(60, seed=1)

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,41 @@ class TestIngest:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="no documents"):
             ingest(path)
+
+    @pytest.mark.parametrize(
+        "field, value, kind", [("author", 3, "int"), ("category", ["p"], "list"), ("author", {"a": 1}, "dict")]
+    )
+    def test_non_string_attribute_names_line(self, tmp_path, field, value, kind):
+        # a string value on line 1 beside a wrong type on line 2 used to fail
+        # later, in build_attributes, with a TypeError
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps({"text": "a", field: "x"}), json.dumps({"text": "b", field: value})])
+        with pytest.raises(ValueError, match=f"{field} must be a string or null at line 2, got {kind}"):
+            ingest(path)
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ),
+        st.sampled_from(["author", "category"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_json_attribute_values(self, value, field):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "docs.jsonl"
+            write_lines(path, [json.dumps({"text": "a", field: "x"}), json.dumps({"text": "b c", field: value})])
+            if value is not None and not isinstance(value, str):
+                with pytest.raises(ValueError, match="line 2"):
+                    ingest(path)
+                return
+            docs = ingest(path)
+        assert getattr(docs[1], field) == value
+        attrs = build_attributes(docs)
+        vocab = build_vocab(docs, cap=10)
+        for doc in docs:
+            index_document(doc, vocab, attrs)
 
     def test_file_order_and_count(self, tmp_path):
         path = tmp_path / "docs.jsonl"

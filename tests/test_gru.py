@@ -81,14 +81,16 @@ class TestBackward:
 
         store.zero_grads()
         h, cache = cell.step(w, h_prev)
-        cell.backward(cache, upstream)
+        _, _, da = cell.backward(cache, upstream)
+        cell.add_weight_grads([cache], [da])
         report = grad_check(f, store)
         assert report.passed, report.format_table()
 
     def test_zero_upstream_zero_grads(self):
         store, cell = make_cell(seed=3)
         h, cache = cell.step(np.ones(3), np.ones(4) * 0.1)
-        dw, dh_prev = cell.backward(cache, np.zeros(4))
+        dw, dh_prev, da = cell.backward(cache, np.zeros(4))
+        cell.add_weight_grads([cache], [da])
         assert not dw.any() and not dh_prev.any()
         assert all(not p.grad.any() for p in store.params())
 
@@ -100,15 +102,20 @@ class TestBackward:
         up1, up2 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
 
         h, cache = cell.step(w, h_prev)
+
+        def accumulate(upstream):
+            _, _, da = cell.backward(cache, upstream)
+            cell.add_weight_grads([cache], [da])
+
         store.zero_grads()
-        cell.backward(cache, up1)
+        accumulate(up1)
         grads1 = {p.name: p.grad.copy() for p in store.params()}
         store.zero_grads()
-        cell.backward(cache, up2)
+        accumulate(up2)
         grads2 = {p.name: p.grad.copy() for p in store.params()}
         store.zero_grads()
-        cell.backward(cache, up1)
-        cell.backward(cache, up2)
+        accumulate(up1)
+        accumulate(up2)
         for p in store.params():
             np.testing.assert_allclose(p.grad, grads1[p.name] + grads2[p.name], atol=1e-12)
 
@@ -134,6 +141,36 @@ class TestBackward:
         dlogits = probs.copy()
         dlogits[1] -= 1.0
         out.grad += np.outer(dlogits, h)
-        cell.backward(cache, out.value.T @ dlogits)
+        _, _, da = cell.backward(cache, out.value.T @ dlogits)
+        cell.add_weight_grads([cache], [da])
+        report = grad_check(f, store)
+        assert report.passed, report.format_table()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradcheck_through_steps_with_one_product_per_weight(self, seed):
+        # a four-step chain: dh flows back step by step, the weight gradients
+        # are formed once over the stacked steps
+        store, cell = make_cell(seed=seed)
+        rng = np.random.default_rng(2000 + seed)
+        inputs = rng.uniform(-1, 1, (4, 3))
+        upstream = rng.uniform(-1, 1, (4, 4))
+
+        def f(store):
+            h, total = np.zeros(4), 0.0
+            for w, up in zip(inputs, upstream):
+                h, _ = cell.step(w, h)
+                total += float(h @ up)
+            return total
+
+        store.zero_grads()
+        h, caches = np.zeros(4), []
+        for w in inputs:
+            h, cache = cell.step(w, h)
+            caches.append(cache)
+        das = [None] * len(caches)
+        dh_next = np.zeros(4)
+        for t in range(len(caches) - 1, -1, -1):
+            _, dh_next, das[t] = cell.backward(caches[t], upstream[t] + dh_next)
+        cell.add_weight_grads(caches, das)
         report = grad_check(f, store)
         assert report.passed, report.format_table()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,9 @@ import oracles
 
 TINY = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2)
 DOC = IndexedDocument(id="doc", text_ids=(3, 5, 4, EOS_ID), title_ids=(4, 6), author_id=1, category_id=1)
+LONG_DOC = IndexedDocument(
+    id="long", text_ids=(3, 5, 4, 8, 6, 3, 7, EOS_ID), title_ids=(4, 6, 8, 3, 5), author_id=1, category_id=1
+)
 
 
 def tiny_model(variant, seed=0, **overrides):
@@ -71,6 +77,54 @@ class TestBuild:
         fwd_a = model.forward_document(DOC, want_caches=False)
         fwd_b = loaded.forward_document(DOC, want_caches=False)
         assert fwd_a.total_nll == fwd_b.total_nll
+
+
+class TestLoadModel:
+    def _edit_header(self, path, edit):
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        edit(header)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+
+    def test_missing_tensor_names_file_and_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model("SAM-Title-Au-Att", seed=2), path)
+
+        def rename_e(header):
+            header["tensors"][0]["name"] = "E_old"
+
+        self._edit_header(path, rename_e)
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: missing tensor E$"):
+            load_model(path)
+
+    def test_shape_mismatch_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model("SAM-Title-Au-Att", seed=2), path)
+
+        def more_authors(header):
+            header["config"]["n_authors"] += 1
+
+        self._edit_header(path, more_authors)
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: shape mismatch loading authors"):
+            load_model(path)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_load_draws_nothing_and_resaves_identical_bytes(self, tmp_path, monkeypatch, variant):
+        model = tiny_model(variant, seed=8)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_model(model, first)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew from an rng")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_model(first)
+        monkeypatch.undo()
+        assert loaded.store.names() == model.store.names()
+        for p in model.store.params():
+            assert np.array_equal(loaded.store[p.name].value, p.value), p.name
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestForward:
@@ -205,6 +259,22 @@ class TestBackward:
             np.testing.assert_allclose(fwd.probs, probs, rtol=0, atol=1e-12)
             np.testing.assert_allclose(model.Wout.grad, dwout, rtol=0, atol=1e-12)
             np.testing.assert_allclose(model.bout.grad, dbout, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_per_step_reference_backward(self, variant, seed):
+        model = tiny_model(variant, seed=seed, d=5, d_tilde=4, vocab_size=9)
+        fwd = model.forward_document(LONG_DOC, want_trace=False)
+        total, _ = oracles.scalar_forward_document(model, LONG_DOC)
+        np.testing.assert_allclose(fwd.total_nll, total, rtol=0, atol=1e-10)
+        model.store.zero_grads()
+        model.backward_document(fwd)
+        stacked = {p.name: p.grad.copy() for p in model.store.params()}
+        model.store.zero_grads()
+        oracles.reference_backward_document(model, fwd)
+        for p in model.store.params():
+            assert p.grad.any(), p.name
+            np.testing.assert_allclose(stacked[p.name], p.grad, rtol=0, atol=1e-12, err_msg=p.name)
 
     def test_two_documents_accumulate_additively(self):
         model = tiny_model("SAM-Cat", seed=4)

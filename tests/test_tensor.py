@@ -96,6 +96,19 @@ class TestParamStore:
         store.zero_grads()
         assert not p.grad.any()
 
+    def test_load_values_missing_tensor_names_source_and_tensor(self):
+        store = ParamStore()
+        store.add("w", (2,), init="zeros")
+        store.add("v", (3,), init="zeros")
+        with pytest.raises(ValueError, match="run/x.ckpt: missing tensor v"):
+            store.load_values({"w": np.ones(2)}, source="run/x.ckpt")
+
+    def test_load_values_shape_mismatch_names_source(self):
+        store = ParamStore()
+        store.add("w", (2,), init="zeros")
+        with pytest.raises(ValueError, match=r"run/x.ckpt: shape mismatch loading w: \(3,\) vs \(2,\)"):
+            store.load_values({"w": np.ones(3)}, source="run/x.ckpt")
+
 
 CHECKPOINT_DEFECTS = ["trailing", "nan", "negative_shape", "truncated"]
 

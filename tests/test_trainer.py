@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ class TestTrainLoop:
         for (t1, v1), (t2, v2) in zip(*runs):
             np.testing.assert_allclose(t1, t2, atol=1e-9)
             np.testing.assert_allclose(v1, v2, atol=1e-9)
+
+    def test_same_seed_runs_write_identical_checkpoints(self, tmp_path):
+        # the full model: title encoder, state init, both attentions, author
+        titled, _ = synth.title_selects_vocab_corpus(24, seed=2)
+        docs = [replace(doc, author=("alice", "bob")[i % 2]) for i, doc in enumerate(titled)]
+        for run in ("a", "b"):
+            model, indexed = small_pipeline("SAM-Title-State-Au-Att", docs, d=6, d_tilde=4, seed=3)
+            train(model, indexed[:18], indexed[18:], TrainConfig(max_epochs=2, seed=5), run_dir=tmp_path / run)
+        for name in ("best.ckpt", "last.ckpt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_best_valid_ppl_is_exp_of_min_nll(self):
         docs = synth.two_category_corpus(40, seed=6)
