@@ -23,3 +23,9 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace `path` with `text`, UTF-8, through `atomic_write`."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

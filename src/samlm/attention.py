@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .gru import GruCache, GruCell
 from .tensor import Param, ParamStore, softmax
 
@@ -131,7 +132,7 @@ def write_trace_csv(trace: AttentionTrace, path) -> None:
         blocks.append((labels, trace.beta))
     n_steps = blocks[0][1].shape[1]
     main = trace.main_tokens or [f"step_{i}" for i in range(n_steps)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(main))
         for labels, block in blocks:

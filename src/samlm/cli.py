@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest, label, train, evaluate, generate.
 
-Settings come from an optional JSON config file plus flags; flags win. Exit
-codes: 0 success, 1 usage error, 2 runtime error. All randomness is seeded.
+Settings come from an optional JSON config file plus flags; flags win, and a
+setting given by neither takes the default of the library call that uses it.
+Exit codes: 0 success, 1 usage error, 2 runtime error. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ import sys
 from pathlib import Path
 
 from . import corpus, evaluate, generation, lda, ngram, tensor, trainer
+from .atomic import write_text
+from .attention import write_trace_csv
 from .corpus import AttributeInventory, Vocabulary
 from .model import ModelConfig, SamModel, VARIANTS, build, load_model
+
+# the GenRequest settings that generate and vary read
+DECODING = ("max_len", "temperature", "strategy", "seed")
 
 
 class CliParser(argparse.ArgumentParser):
@@ -27,8 +33,22 @@ class CliParser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
+    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", type=Path, help="output directory")
+
+
+def _add_vocab_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cap", type=int, help="total vocabulary size cap incl. specials")
+    parser.add_argument("--min-count", type=int, help="minimum token count")
+
+
+def _add_decoding_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", type=Path, required=True, help="checkpoint path")
+    parser.add_argument("--title", help="title string, or path to a file holding it")
+    parser.add_argument("--category")
+    parser.add_argument("--max-len", type=int)
+    parser.add_argument("--temperature", type=float)
+    parser.add_argument("--strategy", choices=["greedy", "sample"])
 
 
 def build_parser() -> CliParser:
@@ -38,16 +58,15 @@ def build_parser() -> CliParser:
     p = sub.add_parser("ingest", help="read a JSONL corpus and build vocabularies")
     _add_common(p)
     p.add_argument("--data", type=Path, required=True, help="JSONL corpus")
-    p.add_argument("--cap", type=int, help="total vocabulary size cap incl. specials (default 10000)")
-    p.add_argument("--min-count", type=int, help="minimum token count (default 1)")
+    _add_vocab_flags(p)
 
     p = sub.add_parser("lda-label", help="fit a topic model and write a category-labeled corpus")
     _add_common(p)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--topics", type=int, help="number of topics (default 5)")
-    p.add_argument("--alpha", type=float, help="doc-topic prior (default 50/topics)")
-    p.add_argument("--beta", type=float, help="topic-word prior (default 0.01)")
-    p.add_argument("--iterations", type=int, help="Gibbs sweeps (default 1000)")
+    p.add_argument("--topics", type=int, help="number of topics")
+    p.add_argument("--alpha", type=float, help="doc-topic prior")
+    p.add_argument("--beta", type=float, help="topic-word prior")
+    p.add_argument("--iterations", type=int, help="Gibbs sweeps")
     p.add_argument("--cap", type=int)
     p.add_argument("--top-words", type=int, help="words per topic in the report (default 15)")
 
@@ -58,8 +77,7 @@ def build_parser() -> CliParser:
     p.add_argument("--variant", choices=sorted(VARIANTS), help="model variant (default RNN)")
     p.add_argument("--d", type=int, help="hidden size (default 64)")
     p.add_argument("--dtilde", type=int, help="attribute embedding size (default equals --d)")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--min-count", type=int)
+    _add_vocab_flags(p)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-epochs", type=int)
@@ -77,37 +95,26 @@ def build_parser() -> CliParser:
     p.add_argument("--model-a", type=Path, required=True)
     p.add_argument("--model-b", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--threshold", type=float, help="nats separating improved/worse (default 0.05)")
-    p.add_argument("--min-word-count", type=int, help="occurrences required per word (default 5)")
+    p.add_argument("--threshold", type=float, help="nats separating improved/worse")
+    p.add_argument("--min-word-count", type=int, help="occurrences required per word")
 
     p = sub.add_parser("ngram", help="fit and evaluate the smoothed n-gram baseline")
     _add_common(p)
     p.add_argument("--train", dest="train_path", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--order", type=int, help="n-gram order (default 5)")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--min-count", type=int)
+    _add_vocab_flags(p)
 
     p = sub.add_parser("generate", help="decode text under attribute conditioning")
     _add_common(p)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--title", help="title string, or path to a file holding it")
+    _add_decoding_flags(p)
     p.add_argument("--author")
-    p.add_argument("--category")
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--strategy", choices=["greedy", "sample"])
 
     p = sub.add_parser("vary", help="regenerate with a substituted author")
     _add_common(p)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--title", help="title string, or path to a file holding it")
+    _add_decoding_flags(p)
     p.add_argument("--author", required=True, help="original author")
     p.add_argument("--fake-author", required=True)
-    p.add_argument("--category")
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--strategy", choices=["greedy", "sample"])
 
     p = sub.add_parser("export-attn", help="export the attention trace of one document")
     _add_common(p)
@@ -117,21 +124,30 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every variant")
     _add_common(p)
-    p.add_argument("--dims", choices=["tiny"], default="tiny")
     p.add_argument("--eps", type=float)
     p.add_argument("--tol", type=float)
 
     return parser
 
 
+def _given(args, config: dict, *keys: str, **renamed: str) -> dict:
+    """The settings among `keys` that a flag or the config file supplied, as
+    keyword arguments for the library call that holds their defaults; a flag
+    wins. `renamed` maps a keyword to the setting it is read from."""
+    given = {}
+    for name, key in [(key, key) for key in keys] + list(renamed.items()):
+        value = getattr(args, key, None)
+        if value is not None:
+            given[name] = value
+        elif key in config:
+            given[name] = config[key]
+    return given
+
+
 def _setting(args, config: dict, key: str, default):
-    """Flag if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    """Flag if given, else config value, else `default`; for the settings
+    that no library call holds."""
+    return _given(args, config, key).get(key, default)
 
 
 def _load_config(args) -> dict:
@@ -167,6 +183,12 @@ def _load_run(model_path: Path) -> tuple[SamModel, Vocabulary, AttributeInventor
     return model, vocab, attrs
 
 
+def _read_corpus(path: Path, vocab_settings: dict) -> tuple[list[corpus.Document], Vocabulary, AttributeInventory]:
+    """The documents at `path`, with the vocabulary and inventories built from them."""
+    docs = corpus.ingest(path)
+    return docs, corpus.build_vocab(docs, **vocab_settings), corpus.build_attributes(docs)
+
+
 def _save_corpus_artifacts(out: Path, vocab: Vocabulary, attrs: AttributeInventory) -> None:
     vocab.save(out / "vocab.txt")
     attrs.authors.save(out / "authors.txt")
@@ -188,13 +210,7 @@ def _indexed(path: Path, vocab, attrs):
 
 
 def cmd_ingest(args, config: dict, out: Path) -> int:
-    docs = corpus.ingest(args.data)
-    vocab = corpus.build_vocab(
-        docs,
-        cap=_setting(args, config, "cap", 10000),
-        min_count=_setting(args, config, "min_count", 1),
-    )
-    attrs = corpus.build_attributes(docs)
+    docs, vocab, attrs = _read_corpus(args.data, _given(args, config, "cap", "min_count"))
     _save_corpus_artifacts(out, vocab, attrs)
     stats = {
         "documents": len(docs),
@@ -203,23 +219,15 @@ def cmd_ingest(args, config: dict, out: Path) -> int:
         "authors": len(attrs.authors) - 1,
         "categories": len(attrs.categories) - 1,
     }
-    (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    write_text(out / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
 def cmd_lda_label(args, config: dict, out: Path) -> int:
-    docs = corpus.ingest(args.data)
-    vocab = corpus.build_vocab(docs, cap=_setting(args, config, "cap", 10000))
-    attrs = corpus.build_attributes(docs)
+    docs, vocab, attrs = _read_corpus(args.data, _given(args, config, "cap"))
     indexed = corpus.index_corpus(docs, vocab, attrs)
-    cfg = lda.LdaConfig(
-        n_topics=_setting(args, config, "topics", 5),
-        alpha=_setting(args, config, "alpha", None),
-        beta=_setting(args, config, "beta", 0.01),
-        iterations=_setting(args, config, "iterations", 1000),
-        seed=_setting(args, config, "seed", 0),
-    )
+    cfg = lda.LdaConfig(**_given(args, config, "alpha", "beta", "iterations", "seed", n_topics="topics"))
     topic_model = lda.fit(indexed, cfg, vocab_size=len(vocab))
     labeled = lda.label_corpus(topic_model, docs)
     corpus.write_jsonl(labeled, out / "labeled.jsonl")
@@ -228,24 +236,17 @@ def cmd_lda_label(args, config: dict, out: Path) -> int:
         f"topic-{i}: {' '.join(words)}"
         for i, words in enumerate(lda.top_words(topic_model, k, vocab))
     ]
-    (out / "topic_words.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "topic_words.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
 def cmd_train(args, config: dict, out: Path) -> int:
-    train_docs = corpus.ingest(args.train_path)
+    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, config, "cap", "min_count"))
     valid_docs = corpus.ingest(args.valid_path)
-    vocab = corpus.build_vocab(
-        train_docs,
-        cap=_setting(args, config, "cap", 10000),
-        min_count=_setting(args, config, "min_count", 1),
-    )
-    attrs = corpus.build_attributes(train_docs)
     _save_corpus_artifacts(out, vocab, attrs)
 
     d = _setting(args, config, "d", 64)
-    seed = _setting(args, config, "seed", 0)
     model_cfg = ModelConfig(
         variant=_setting(args, config, "variant", "RNN"),
         d=d,
@@ -253,16 +254,11 @@ def cmd_train(args, config: dict, out: Path) -> int:
         vocab_size=len(vocab),
         n_authors=len(attrs.authors),
         n_categories=len(attrs.categories),
-        seed=seed,
+        **_given(args, config, "seed"),
     )
     sam = build(model_cfg)
     train_cfg = trainer.TrainConfig(
-        lr=_setting(args, config, "lr", 0.001),
-        batch_size=_setting(args, config, "batch_size", 20),
-        max_epochs=_setting(args, config, "max_epochs", 100),
-        patience=_setting(args, config, "patience", 5),
-        clip_norm=_setting(args, config, "clip_norm", 5.0),
-        seed=seed,
+        **_given(args, config, "lr", "batch_size", "max_epochs", "patience", "clip_norm", "seed")
     )
     result = trainer.train(
         sam,
@@ -282,7 +278,7 @@ def cmd_eval(args, config: dict, out: Path) -> int:
     report = evaluate.perplexity(
         sam, docs, model_id=sam.config.variant, corpus_id=args.corpus_id or args.data.stem
     )
-    (out / "perplexity.csv").write_text(report.csv(), encoding="utf-8")
+    write_text(out / "perplexity.csv", report.csv())
     print(report.csv().strip())
     return 0
 
@@ -304,8 +300,7 @@ def cmd_word_delta(args, config: dict, out: Path) -> int:
         docs,
         vocab,
         categories=attrs.categories,
-        threshold=_setting(args, config, "threshold", 0.05),
-        min_count=_setting(args, config, "min_word_count", 5),
+        **_given(args, config, "threshold", min_count="min_word_count"),
     )
     evaluate.write_word_delta_csv(report, out / "word_delta.csv")
     print(evaluate.format_word_delta(report))
@@ -313,13 +308,7 @@ def cmd_word_delta(args, config: dict, out: Path) -> int:
 
 
 def cmd_ngram(args, config: dict, out: Path) -> int:
-    train_docs = corpus.ingest(args.train_path)
-    vocab = corpus.build_vocab(
-        train_docs,
-        cap=_setting(args, config, "cap", 10000),
-        min_count=_setting(args, config, "min_count", 1),
-    )
-    attrs = corpus.build_attributes(train_docs)
+    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, config, "cap", "min_count"))
     order = _setting(args, config, "order", 5)
     kn = ngram.KneserNeyModel.fit(
         corpus.index_corpus(train_docs, vocab, attrs), order=order, vocab_size=len(vocab)
@@ -327,37 +316,31 @@ def cmd_ngram(args, config: dict, out: Path) -> int:
     kn.save(out / f"kn{order}.counts")
     docs = _indexed(args.data, vocab, attrs)
     report = kn.perplexity(docs, corpus_id=args.data.stem)
-    (out / "ngram_perplexity.csv").write_text(report.csv(), encoding="utf-8")
+    write_text(out / "ngram_perplexity.csv", report.csv())
     print(report.csv().strip())
     return 0
 
 
-def _gen_request(args, config) -> generation.GenRequest:
-    return generation.GenRequest(
-        title=_title_tokens(args.title),
-        author=getattr(args, "author", None),
-        category=getattr(args, "category", None),
-        max_len=_setting(args, config, "max_len", 50),
-        temperature=_setting(args, config, "temperature", 1.0),
-        strategy=_setting(args, config, "strategy", "sample"),
-        seed=_setting(args, config, "seed", 0),
-    )
-
-
 def cmd_generate(args, config: dict, out: Path) -> int:
     sam, vocab, attrs = _load_run(args.model)
-    result = generation.generate(sam, vocab, attrs, _gen_request(args, config))
+    req = generation.GenRequest(
+        title=_title_tokens(args.title),
+        author=args.author,
+        category=args.category,
+        **_given(args, config, *DECODING),
+    )
+    result = generation.generate(sam, vocab, attrs, req)
     attn_path = None
     if not result.trace.empty:
         attn_path = out / "attention.csv"
-        generation.export_attention(result, attn_path)
+        write_trace_csv(result.trace, attn_path)
     payload = {
         "tokens": result.tokens,
         "probabilities": result.probabilities,
         "warnings": result.warnings,
         "attention_csv_path": str(attn_path) if attn_path else None,
     }
-    (out / "generation.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text(out / "generation.json", json.dumps(payload, indent=2) + "\n")
     print(" ".join(result.tokens))
     return 0
 
@@ -369,24 +352,16 @@ def cmd_vary(args, config: dict, out: Path) -> int:
         text=("-",),
         title=_title_tokens(args.title),
         author=args.author,
-        category=getattr(args, "category", None),
+        category=args.category,
     )
     result = generation.style_variation(
-        sam,
-        vocab,
-        attrs,
-        source,
-        fake_author=args.fake_author,
-        max_len=_setting(args, config, "max_len", 50),
-        temperature=_setting(args, config, "temperature", 1.0),
-        strategy=_setting(args, config, "strategy", "sample"),
-        seed=_setting(args, config, "seed", 0),
+        sam, vocab, attrs, source, fake_author=args.fake_author, **_given(args, config, *DECODING)
     )
     paths = {}
     for label, gen in (("original", result.original), ("varied", result.varied)):
         if not gen.trace.empty:
             path = out / f"attention_{label}.csv"
-            generation.export_attention(gen, path)
+            write_trace_csv(gen.trace, path)
             paths[label] = str(path)
     payload = {
         "original": {"tokens": result.original.tokens, "warnings": result.original.warnings},
@@ -395,7 +370,7 @@ def cmd_vary(args, config: dict, out: Path) -> int:
         "token_overlap": result.token_overlap,
         "attention_csv_path": paths,
     }
-    (out / "variation.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text(out / "variation.json", json.dumps(payload, indent=2) + "\n")
     print(json.dumps({"divergence": result.divergence, "token_overlap": result.token_overlap}))
     return 0
 
@@ -414,16 +389,14 @@ def cmd_export_attn(args, config: dict, out: Path) -> int:
     fwd.trace.main_tokens = [vocab.token_for(t) for t in indexed.text_ids]
     fwd.trace.title_tokens = list(doc.title or [])
     path = out / f"attention_{args.doc_id}.csv"
-    generation.export_attention(fwd.trace, path)
+    write_trace_csv(fwd.trace, path)
     print(str(path))
     return 0
 
 
 def cmd_gradcheck(args, config: dict, out: Path) -> int:
-    seed = _setting(args, config, "seed", 0)
-    eps = _setting(args, config, "eps", 1e-5)
-    tol = _setting(args, config, "tol", 1e-4)
-    dims = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2)
+    dims = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2, **_given(args, config, "seed"))
+    tolerances = _given(args, config, "eps", "tol")
     doc = corpus.IndexedDocument(
         id="gradcheck",
         text_ids=(3, 5, 4, corpus.EOS_ID),
@@ -433,15 +406,14 @@ def cmd_gradcheck(args, config: dict, out: Path) -> int:
     )
     all_passed = True
     for name in sorted(VARIANTS):
-        sam = build(ModelConfig(variant=name, seed=seed, **dims))
+        sam = build(ModelConfig(variant=name, **dims))
         sam.store.zero_grads()
         fwd = sam.forward_document(doc, want_trace=False)
         sam.backward_document(fwd)
         report = tensor.grad_check(
             lambda store: sam.forward_document(doc, want_trace=False, want_caches=False).total_nll,
             sam.store,
-            eps=eps,
-            tol=tol,
+            **tolerances,
         )
         all_passed = all_passed and report.passed
         print(f"## {name}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_text
 
 UNK, EOS, PAD = "<unk>", "<eos>", "<pad>"
 SPECIALS = (UNK, EOS, PAD)
@@ -71,8 +71,7 @@ class Vocabulary:
         return self.tokens[idx]
 
     def save(self, path) -> None:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
+        write_text(path, "\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path, n_specials: int = 3) -> "Vocabulary":
@@ -103,10 +102,8 @@ def _parse_attribute(record: dict, field: str, line_no: int) -> str | None:
     return value
 
 
-def ingest(path, format: str = "jsonl") -> list[Document]:
+def ingest(path) -> list[Document]:
     """Read attribute-annotated documents from a JSONL file, in file order."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported format: {format}")
     docs: list[Document] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -139,7 +136,7 @@ def ingest(path, format: str = "jsonl") -> list[Document]:
 
 
 def write_jsonl(docs: list[Document], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             record: dict = {"id": doc.id, "text": " ".join(doc.text)}
             if doc.title is not None:
@@ -156,7 +153,7 @@ def _ranked(counts: Counter) -> list[str]:
     return sorted(counts, key=lambda t: (-counts[t], t))
 
 
-def build_vocab(docs: list[Document], cap: int, min_count: int = 1) -> Vocabulary:
+def build_vocab(docs: list[Document], cap: int = 10000, min_count: int = 1) -> Vocabulary:
     """Frequency-ranked token vocabulary capped at `cap` entries total.
 
     The cap counts the three reserved specials, so `cap - 3` regular tokens

@@ -8,10 +8,10 @@ conditioning context only and never enter the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .corpus import UNK_ID, IndexedDocument, Vocabulary
 
 
@@ -52,7 +52,7 @@ def perplexity(model, docs: list[IndexedDocument], model_id: str = "", corpus_id
     results = [model.document_nll(doc) for doc in docs]
     total_nll = sum(r[0] for r in results)
     token_count = sum(r[1] for r in results)
-    unk_count = sum(1 for doc in docs for t in doc.text_ids if t == UNK_ID)
+    unk_count = sum(doc.text_ids.count(UNK_ID) for doc in docs)
     return PerplexityReport.from_totals(model_id, corpus_id, token_count, total_nll, unk_count)
 
 
@@ -135,7 +135,7 @@ def write_word_delta_csv(report: WordDeltaReport, path) -> None:
         for bucket_name in ("improved", "alike", "worse"):
             for wd in getattr(deltas, bucket_name):
                 lines.append(f"{group},{bucket_name},{wd.word},{wd.mean_delta:.6f},{wd.count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def format_word_delta(report: WordDeltaReport, top: int = 12) -> str:

@@ -1,5 +1,5 @@
-"""Attribute-controlled text generation, style variation via attribute
-substitution, and attention-trace export."""
+"""Attribute-controlled text generation and style variation via attribute
+substitution."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionTrace, write_trace_csv
+from .attention import AttentionTrace
 from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, IndexedDocument, Vocabulary
 from .model import DocState, SamModel, StepRecord
 from .tensor import softmax
@@ -155,15 +155,13 @@ def style_variation(
     attrs: AttributeInventory,
     source: Document,
     fake_author: str,
-    max_len: int = 50,
-    temperature: float = 1.0,
-    strategy: str = "sample",
-    seed: int = 0,
+    **decoding,
 ) -> StyleVariation:
     """Regenerate the source document's text under a substituted author.
 
-    Both generations share title, category, and seed. The divergence is the
-    mean per-step Jensen-Shannon divergence between the two next-token
+    Both generations share title, category, and the `decoding` settings
+    (`GenRequest`'s max_len, temperature, strategy and seed). The divergence
+    is the mean per-step Jensen-Shannon divergence between the two next-token
     distributions along the original generation's token path, so the two
     streams are compared at identical inputs; free-running difference is
     summarized separately as token overlap.
@@ -176,14 +174,7 @@ def style_variation(
         raise ValueError(f"variant {model.variant.name} has no author attribute")
     if source.author is None:
         raise ValueError(f"source document {source.id} has no author")
-    base = dict(
-        title=source.title,
-        category=source.category,
-        max_len=max_len,
-        temperature=temperature,
-        strategy=strategy,
-        seed=seed,
-    )
+    base = dict(title=source.title, category=source.category, **decoding)
     req_orig = GenRequest(author=source.author, **base)
     req_fake = GenRequest(author=fake_author, **base)
     req_orig.validate()
@@ -209,8 +200,3 @@ def style_variation(
         token_overlap=overlap,
     )
 
-
-def export_attention(result, path) -> None:
-    """Write the attention trace of a GenResult or forward pass to CSV."""
-    trace = result.trace if hasattr(result, "trace") else result
-    write_trace_csv(trace, path)

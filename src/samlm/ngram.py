@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluate
+from .atomic import atomic_write
 from .corpus import PAD_ID, IndexedDocument
-from .evaluate import PerplexityReport
 
 
 @dataclass
@@ -128,15 +129,10 @@ class KneserNeyModel:
             nll -= float(np.log(self._prob(self.order, ctx, seq[i])))
         return nll, len(doc.text_ids)
 
-    def perplexity(self, docs: list[IndexedDocument], model_id: str = "", corpus_id: str = "") -> PerplexityReport:
-        if not docs:
-            raise ValueError("perplexity over an empty corpus")
-        total_nll, tokens = 0.0, 0
-        for doc in docs:
-            nll, n = self.document_nll(doc)
-            total_nll += nll
-            tokens += n
-        return PerplexityReport.from_totals(model_id or f"kn{self.order}", corpus_id, tokens, total_nll)
+    def perplexity(
+        self, docs: list[IndexedDocument], model_id: str = "", corpus_id: str = ""
+    ) -> evaluate.PerplexityReport:
+        return evaluate.perplexity(self, docs, model_id or f"kn{self.order}", corpus_id)
 
     # -------------------------------------------------------- persistence
 
@@ -148,7 +144,7 @@ class KneserNeyModel:
             "smoothing": "interpolated-kneser-ney-single-discount",
             "discounts": self.discounts,
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for k, table in enumerate(self.tables, start=1):
                 for ctx in sorted(table):

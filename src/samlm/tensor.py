@@ -18,6 +18,7 @@ from .atomic import atomic_write
 
 CHECKPOINT_FORMAT = 1
 INIT_SCALE = 0.1
+GRAD_CHECK_FLOOR = 1e-5
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -130,8 +131,9 @@ class ParamStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray], source: str = "values") -> None:
-        """Overwrite every parameter from `values`; `source` (a checkpoint
-        path, say) names where they came from in the errors."""
+        """Overwrite every parameter from `values`, which must hold exactly
+        these names; `source` (a checkpoint path, say) names where they came
+        from in the errors."""
         for name, p in self._params.items():
             if name not in values:
                 raise ValueError(f"{source}: missing tensor {name}")
@@ -139,6 +141,9 @@ class ParamStore:
             if src.shape != p.value.shape:
                 raise ValueError(f"{source}: shape mismatch loading {name}: {src.shape} vs {p.shape}")
             p.value[...] = src
+        for name in values:
+            if name not in self._params:
+                raise ValueError(f"{source}: unexpected tensor {name}")
 
 
 def save_checkpoint(path, store: ParamStore, config: dict | None = None) -> None:
@@ -209,7 +214,6 @@ def grad_check(
     store: ParamStore,
     eps: float = 1e-5,
     tol: float = 1e-4,
-    floor: float = 1e-5,
 ) -> GradCheckReport:
     """Compare the analytic gradients in `store` against central differences.
 
@@ -217,11 +221,11 @@ def grad_check(
     calling; `f` must be a deterministic re-evaluation of the same scalar that
     does not touch the gradient buffers.
 
-    The relative error divides by max(|analytic|, |numeric|, floor): central
-    differences at eps around a unit-scale objective carry ~1e-10 of float64
-    cancellation noise, so entries smaller than `floor` are effectively held
-    to an absolute tolerance of tol * floor instead of a meaningless ratio of
-    two noise terms.
+    The relative error divides by max(|analytic|, |numeric|, GRAD_CHECK_FLOOR):
+    central differences at eps around a unit-scale objective carry ~1e-10 of
+    float64 cancellation noise, so entries smaller than the floor are
+    effectively held to an absolute tolerance of tol * GRAD_CHECK_FLOOR instead
+    of a meaningless ratio of two noise terms.
     """
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
@@ -241,7 +245,7 @@ def grad_check(
                 raise ValueError(f"non-finite objective while perturbing {p.name}")
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = analytic[p.name].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), floor)
+            denom = max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             worst = max(worst, abs(a - numeric) / denom)
         report[p.name] = worst
     passed = all(err <= tol for err in report.values())

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from . import evaluate
+from .atomic import write_text
 from .corpus import IndexedDocument
 from .model import SamModel, save_model
 from .tensor import ParamStore
@@ -18,9 +19,6 @@ from .tensor import ParamStore
 @dataclass
 class TrainConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 20
     max_epochs: int = 100
     patience: int = 5
@@ -30,8 +28,6 @@ class TrainConfig:
     def validate(self) -> None:
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1/beta2 must lie in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -39,22 +35,25 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore; grads are zeroed after a step."""
+    """Bias-corrected Adam over a ParamStore; grads are zeroed after a step.
 
-    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    The moment decays and epsilon are the defaults of Kingma & Ba
+    (arXiv:1412.6980)."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in store.params()}
         self.v = {p.name: np.zeros_like(p.value) for p in store.params()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for p in self.store.params():
@@ -66,7 +65,7 @@ class Adam:
             m += (1.0 - b1) * p.grad
             v *= b2
             v += (1.0 - b2) * p.grad * p.grad
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             p.grad[...] = 0.0
 
 
@@ -91,14 +90,8 @@ class TrainResult:
 
 def mean_nll(model: SamModel, docs: list[IndexedDocument]) -> float:
     """Corpus mean per-token negative log-likelihood."""
-    total, count = 0.0, 0
-    for doc in docs:
-        nll, n = model.document_nll(doc)
-        total += nll
-        count += n
-    if count == 0:
-        raise ValueError("no tokens to evaluate")
-    return total / count
+    report = evaluate.perplexity(model, docs)
+    return report.total_nll / report.token_count
 
 
 def _batches(docs, batch_size: int, rng: np.random.Generator):
@@ -131,7 +124,7 @@ def train(
     if not train_docs or not valid_docs:
         raise ValueError("train and validation splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam(model.store, cfg.lr)
     model.store.zero_grads()
 
     history: list[EpochStats] = []
@@ -190,11 +183,9 @@ def train(
     return result
 
 
-def write_history_csv(history: list[EpochStats], path, cfg: TrainConfig | None = None) -> None:
+def write_history_csv(history: list[EpochStats], path, cfg: TrainConfig) -> None:
     lines = ["epoch,train_ppl,valid_ppl,seconds"]
     for s in history:
         lines.append(f"{s.epoch},{s.train_ppl:.9g},{s.valid_ppl:.9g},{s.seconds:.3f}")
-    if cfg is not None:
-        lines.append(f"# clip_norm={cfg.clip_norm} lr={cfg.lr} batch_size={cfg.batch_size} seed={cfg.seed}")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.append(f"# clip_norm={cfg.clip_norm} lr={cfg.lr} batch_size={cfg.batch_size} seed={cfg.seed}")
+    write_text(path, "\n".join(lines) + "\n")

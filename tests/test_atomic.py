@@ -5,7 +5,10 @@ import pytest
 
 import samlm.atomic as atomic
 from samlm.atomic import atomic_write
-from samlm.corpus import Vocabulary
+from samlm.attention import AttentionTrace, write_trace_csv
+from samlm.corpus import Document, IndexedDocument, Vocabulary, write_jsonl
+from samlm.evaluate import CategoryDeltas, WordDelta, WordDeltaReport, write_word_delta_csv
+from samlm.ngram import KneserNeyModel
 from samlm.tensor import ParamStore, save_checkpoint
 from samlm.trainer import EpochStats, TrainConfig, write_history_csv
 
@@ -21,6 +24,12 @@ WRITERS = {
     "checkpoint": lambda path, k: save_checkpoint(path, _store(k), config={"k": k}),
     "vocabulary": lambda path, k: Vocabulary(["<unk>", "<eos>", "<pad>"] + [f"w{k}_{i}" for i in range(4)], 3).save(path),
     "history": lambda path, k: write_history_csv([EpochStats(1, 2.0 + k, 3.0, 0.1)], path, TrainConfig()),
+    "word_delta": lambda path, k: write_word_delta_csv(
+        WordDeltaReport(0.05, 1, {"all": CategoryDeltas("all", improved=[WordDelta(f"w{k}", -0.5, 2)])}), path
+    ),
+    "kn_counts": lambda path, k: KneserNeyModel.fit([IndexedDocument("d", (3,) * k + (1,))], 2, 5).save(path),
+    "attention": lambda path, k: write_trace_csv(AttentionTrace(alpha=np.full((1, 2), k / 4)), path),
+    "jsonl": lambda path, k: write_jsonl([Document(f"d{k}", ("a", "b"))], path),
 }
 
 

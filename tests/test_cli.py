@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import samlm
@@ -12,7 +14,7 @@ from samlm.cli import build_parser, main
 from samlm.corpus import write_jsonl
 
 import synth
-from test_tensor import CHECKPOINT_DEFECTS, corrupt_checkpoint
+from test_tensor import CHECKPOINT_DEFECTS, append_tensor, corrupt_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +243,16 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt}: missing tensor E" in err
 
+    def test_checkpoint_with_a_stray_tensor_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        ckpt = run / "best.ckpt"
+        append_tensor(ckpt, "stray", np.ones(3))
+        args = ["eval", "--model", str(ckpt), "--data", str(corpus_files / "test.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert f"checkpoint {ckpt}: unexpected tensor stray" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "perplexity.csv").exists()
+
     @pytest.mark.parametrize("field, value", [("author", 3), ("category", ["p"])])
     def test_non_string_attribute_exits_two(self, tmp_path, capsys, field, value):
         data = tmp_path / "docs.jsonl"
@@ -304,7 +316,7 @@ class TestPipeline:
 
     def test_gradcheck_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["gradcheck", "--dims", "tiny", "--out", "never"]) == 0
+        assert main(["gradcheck", "--out", "never"]) == 0
         out = capsys.readouterr().out
         assert "SAM-Title-State-Au-Att" in out and "PASS" in out
         assert list(tmp_path.iterdir()) == []
@@ -348,3 +360,115 @@ class TestPipeline:
         )
         assert proc.returncode == 0
         assert "samlm" in proc.stdout
+
+
+def _smallest_word_count(out):
+    return min(int(line.split(",")[-1]) for line in (out / "word_delta.csv").read_text().splitlines()[1:])
+
+
+# Per command: every setting the CLI forwards to a library call, given in the
+# config file only; the keywords each callee that holds their defaults must
+# receive, and an output the settings shape.
+FORWARDED = {
+    "ingest": (
+        {"cap": 12, "min_count": 2},
+        {"corpus.build_vocab": {"cap": 12, "min_count": 2}},
+        lambda out: len((out / "vocab.txt").read_text().splitlines()) == 12,
+    ),
+    "lda-label": (
+        # min_count is not an lda-label setting; forwarded, it would leave no word
+        {"cap": 12, "min_count": 1000, "topics": 3, "alpha": 2.0, "beta": 0.05, "iterations": 4, "seed": 6},
+        {"corpus.build_vocab": {"cap": 12},
+         "lda.LdaConfig": {"n_topics": 3, "alpha": 2.0, "beta": 0.05, "iterations": 4, "seed": 6}},
+        lambda out: len((out / "topic_words.txt").read_text().splitlines()) == 3,
+    ),
+    "train": (
+        {"cap": 12, "min_count": 2, "lr": 0.005, "batch_size": 7, "max_epochs": 2, "patience": 1,
+         "clip_norm": 2.5, "seed": 3, "d": 4},
+        {"corpus.build_vocab": {"cap": 12, "min_count": 2},
+         "cli.ModelConfig": {"seed": 3},
+         "trainer.TrainConfig": {"lr": 0.005, "batch_size": 7, "max_epochs": 2, "patience": 1, "clip_norm": 2.5,
+                                 "seed": 3}},
+        lambda out: (out / "history.csv").read_text().endswith("# clip_norm=2.5 lr=0.005 batch_size=7 seed=3\n"),
+    ),
+    "word-delta": (
+        {"threshold": 10.0, "min_word_count": 1},
+        {"evaluate.word_delta": {"threshold": 10.0, "min_count": 1}},
+        lambda out: _smallest_word_count(out) < 5,
+    ),
+    "ngram": (
+        {"cap": 12, "min_count": 2, "order": 2},
+        {"corpus.build_vocab": {"cap": 12, "min_count": 2}},
+        lambda out: json.loads((out / "kn2.counts").read_text().splitlines()[0])["vocab_size"] == 12,
+    ),
+    "generate": (
+        {"max_len": 1, "temperature": 0.5, "strategy": "greedy", "seed": 5},
+        {"generation.GenRequest": {"max_len": 1, "temperature": 0.5, "strategy": "greedy", "seed": 5}},
+        lambda out: len(json.loads((out / "generation.json").read_text())["tokens"]) == 1,
+    ),
+    "vary": (
+        {"max_len": 1, "temperature": 0.5, "strategy": "sample", "seed": 5},
+        {"generation.GenRequest": {"max_len": 1, "temperature": 0.5, "strategy": "sample", "seed": 5}},
+        lambda out: len(json.loads((out / "variation.json").read_text())["varied"]["tokens"]) == 1,
+    ),
+    "gradcheck": (
+        {"eps": 2e-5, "tol": 1e-3, "seed": 2},
+        {"cli.ModelConfig": {"seed": 2}, "tensor.grad_check": {"eps": 2e-5, "tol": 1e-3}},
+        lambda out: True,
+    ),
+}
+
+
+def _command_args(command, corpus_files, trained_run):
+    train, test = str(corpus_files / "train.jsonl"), str(corpus_files / "test.jsonl")
+    model = str(trained_run / "best.ckpt")
+    return {
+        "ingest": ["--data", train],
+        "lda-label": ["--data", train],
+        "train": ["--train", train, "--valid", str(corpus_files / "valid.jsonl")],
+        "word-delta": ["--model-a", model, "--model-b", model, "--data", test],
+        "ngram": ["--train", train, "--data", test],
+        "generate": ["--model", model, "--author", "alice"],
+        "vary": ["--model", model, "--author", "alice", "--fake-author", "bob"],
+        "gradcheck": [],
+    }[command]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(FORWARDED))
+    def test_config_keys_reach_their_callee(self, corpus_files, trained_run, tmp_path, monkeypatch, command):
+        settings, callees, shaped = FORWARDED[command]
+        calls = {}
+        for callee in callees:
+            module_name, attr = callee.split(".")
+            module = importlib.import_module(f"samlm.{module_name}")
+
+            def spy(*args, _real=getattr(module, attr), _calls=calls.setdefault(callee, []), **kwargs):
+                _calls.append(kwargs)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, spy)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        args = [command, "--config", str(config), "--out", str(out)]
+        assert main(args + _command_args(command, corpus_files, trained_run)) == 0
+        for callee, expected in callees.items():
+            assert calls[callee], callee
+            assert all(call.items() >= expected.items() for call in calls[callee]), (callee, calls[callee])
+        assert shaped(out)
+
+    @pytest.mark.parametrize("command, config, flags, shaped", [
+        ("lda-label", {"topics": 3, "iterations": 2}, ["--topics", "2"],
+         lambda out: len((out / "topic_words.txt").read_text().splitlines()) == 2),
+        ("word-delta", {"min_word_count": 10**6}, ["--min-word-count", "1"],
+         lambda out: _smallest_word_count(out) < 5),
+    ])
+    def test_flag_beats_config_for_renamed_key(self, corpus_files, trained_run, tmp_path, command, config, flags,
+                                               shaped):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        args = [command, "--config", str(path), "--out", str(out)] + flags
+        assert main(args + _command_args(command, corpus_files, trained_run)) == 0
+        assert shaped(out)

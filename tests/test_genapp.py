@@ -8,13 +8,12 @@ from samlm.generation import (
     GenRequest,
     _conditioning,
     generate,
-    export_attention,
     js_divergence,
     masked_distribution,
     sample_index,
     style_variation,
 )
-from samlm.attention import read_trace_csv
+from samlm.attention import read_trace_csv, write_trace_csv
 from samlm.model import VARIANTS, ModelConfig, SamModel, build
 from samlm.tensor import softmax
 from samlm.trainer import TrainConfig, train
@@ -260,7 +259,7 @@ class TestExportAttention:
         req = GenRequest(title=("cat0",), max_len=3, strategy="greedy")
         result = generate(model, vocab, attrs, req)
         path = tmp_path / "attn.csv"
-        export_attention(result, path)
+        write_trace_csv(result.trace, path)
         header, body = read_trace_csv(path)
         assert header == result.tokens
         label, row = body[0]
@@ -271,7 +270,7 @@ class TestExportAttention:
         model, vocab, attrs = author_setup
         result = generate(model, vocab, attrs, GenRequest(author="alice", max_len=6, seed=2))
         path = tmp_path / "attn.csv"
-        export_attention(result, path)
+        write_trace_csv(result.trace, path)
         header, body = read_trace_csv(path)
         assert [label for label, _ in body] == ["author"]
         np.testing.assert_allclose(body[0][1], 1.0, atol=1e-6)
@@ -280,7 +279,7 @@ class TestExportAttention:
         model, vocab, attrs, docs = title_setup
         result = generate(model, vocab, attrs, GenRequest(title=docs[1].title, max_len=5, seed=7))
         path = tmp_path / "attn.csv"
-        export_attention(result, path)
+        write_trace_csv(result.trace, path)
         _, body = read_trace_csv(path)
         expected = np.round(result.trace.alpha, 6)
         for (label, row), exp in zip(body, expected):

@@ -9,6 +9,7 @@ from samlm.model import VARIANTS, ModelConfig, build, load_model, save_model
 from samlm.tensor import grad_check
 
 import oracles
+from test_tensor import append_tensor
 
 TINY = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2)
 DOC = IndexedDocument(id="doc", text_ids=(3, 5, 4, EOS_ID), title_ids=(4, 6), author_id=1, category_id=1)
@@ -95,6 +96,13 @@ class TestLoadModel:
 
         self._edit_header(path, rename_e)
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: missing tensor E$"):
+            load_model(path)
+
+    def test_stray_tensor_names_file_and_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model("SAM-Title-Au-Att", seed=2), path)
+        append_tensor(path, "stray", np.ones(2))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: unexpected tensor stray$"):
             load_model(path)
 
     def test_shape_mismatch_names_file(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samlm.corpus import Document
+from samlm.corpus import EOS_ID, UNK_ID, Document, IndexedDocument
 from samlm.ngram import KneserNeyModel
 
 import oracles
@@ -119,6 +119,15 @@ class TestPerplexity:
         np.testing.assert_allclose(
             report.perplexity, np.exp(report.total_nll / report.token_count), atol=1e-9
         )
+
+    def test_report_counts_unk_targets(self):
+        vocab, attrs, docs = random_token_corpus(100, seed=9)
+        model = KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab))
+        # 8 targets (EOS included), 2 of them UNK
+        held = [IndexedDocument(id="h", text_ids=(3, UNK_ID, 4, 5, UNK_ID, 3, 4, EOS_ID))]
+        report = model.perplexity(held)
+        assert (report.token_count, report.unk_count) == (8, 2)
+        assert report.total_nll == model.document_nll(held[0])[0]
 
     def test_empty_eval_rejected(self):
         vocab, attrs, docs = random_token_corpus(50)

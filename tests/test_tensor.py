@@ -135,6 +135,15 @@ def corrupt_checkpoint(path, defect):
     return expected
 
 
+
+def append_tensor(path, name, value):
+    """Append one well-formed tensor to a saved checkpoint in place."""
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["tensors"].append({"name": name, "shape": list(value.shape)})
+    body += np.ascontiguousarray(value, dtype="<f8").tobytes()
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
 class TestCheckpoint:
     def _store(self, seed):
         store = ParamStore()
