@@ -138,12 +138,3 @@ def write_trace_csv(trace: AttentionTrace, path) -> None:
         for labels, block in blocks:
             for label, row in zip(labels, block):
                 writer.writerow([label] + [f"{w:.6f}" for w in row])
-
-
-def read_trace_csv(path) -> tuple[list[str], list[tuple[str, list[float]]]]:
-    """Parse a trace CSV back into (main tokens, labeled weight rows)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0][1:]
-    body = [(row[0], [float(x) for x in row[1:]]) for row in rows[1:]]
-    return header, body

@@ -150,10 +150,16 @@ def _setting(args, config: dict, key: str, default):
     return _given(args, config, key).get(key, default)
 
 
-def _load_config(args) -> dict:
+def _load_config(args, parser: argparse.ArgumentParser) -> dict:
+    """The config file's settings; a key must be the dest of some subcommand's flag."""
     if args.config is None:
         return {}
-    return json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unknown = sorted(set(config) - {a.dest for p in commands.choices.values() for a in p._actions})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
+    return config
 
 
 def _load_run(model_path: Path) -> tuple[SamModel, Vocabulary, AttributeInventory]:
@@ -444,7 +450,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        config = _load_config(args)
+        config = _load_config(args, parser)
         out = Path(_setting(args, config, "out", "samlm-out"))
         if args.command != "gradcheck":  # the only command that writes nothing
             out.mkdir(parents=True, exist_ok=True)

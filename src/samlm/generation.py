@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import AttentionTrace
-from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, IndexedDocument, Vocabulary
+from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, Vocabulary, index_document
 from .model import DocState, SamModel, StepRecord
 from .tensor import softmax
 
@@ -60,31 +60,16 @@ def masked_distribution(logits: np.ndarray, temperature: float = 1.0) -> np.ndar
 def _conditioning(
     model: SamModel, vocab: Vocabulary, attrs: AttributeInventory, req: GenRequest
 ) -> tuple[DocState, list[str]]:
-    warnings = []
-    title_ids = tuple(vocab.id_for(t) for t in req.title) if req.title else None
-    author_id = category_id = None
-    if model.variant.author:
-        if req.author is None:
-            raise ValueError(f"variant {model.variant.name} requires an author")
-        author_id = attrs.authors.index.get(req.author)
-        if author_id is None:
-            author_id = attrs.authors.unk_id
-            warnings.append(f"unknown author {req.author!r}: using the unknown-author embedding")
-    if model.variant.category:
-        if req.category is None:
-            raise ValueError(f"variant {model.variant.name} requires a category")
-        category_id = attrs.categories.index.get(req.category)
-        if category_id is None:
-            category_id = attrs.categories.unk_id
-            warnings.append(f"unknown category {req.category!r}: using the unknown-category embedding")
-    pseudo = IndexedDocument(
-        id="generation",
-        text_ids=(EOS_ID,),
-        title_ids=title_ids,
-        author_id=author_id,
-        category_id=category_id,
-    )
-    return model.prepare(pseudo), warnings
+    source = Document(id="generation", text=(), title=req.title, author=req.author, category=req.category)
+    warnings = [
+        f"unknown {what} {name!r}: using the unknown-{what} embedding"
+        for what, used, name, inventory in (
+            ("author", model.variant.author, req.author, attrs.authors),
+            ("category", model.variant.category, req.category, attrs.categories),
+        )
+        if used and name is not None and name not in inventory.index
+    ]
+    return model.prepare(index_document(source, vocab, attrs)), warnings
 
 
 def generate(

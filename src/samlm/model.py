@@ -116,7 +116,6 @@ class ModelConfig:
 class DocState:
     """Per-document conditioning prepared once before stepping."""
 
-    doc_id: str
     h0: np.ndarray
     title_ids: tuple[int, ...] | None = None
     enc: TitleEncoding | None = None
@@ -201,7 +200,7 @@ class SamModel:
     def prepare(self, doc: IndexedDocument) -> DocState:
         """Resolve the document's conditioning inputs for this variant."""
         spec = self.variant
-        state = DocState(doc_id=doc.id, h0=np.zeros(self.config.d))
+        state = DocState(h0=np.zeros(self.config.d))
         if spec.needs_title:
             if not doc.title_ids:
                 raise ValueError(f"variant {spec.name} requires a title (doc {doc.id})")

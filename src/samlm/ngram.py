@@ -2,21 +2,24 @@
 
 Counting protocol: every document is left-padded with order-1 PAD markers
 (the same beginning-of-sequence convention the neural models use) and ends
-with its EOS token; contexts never cross documents. The highest order keeps
-raw counts. Lower orders use continuation counts (number of distinct one-word
-left extensions), except for contexts that start at a document boundary,
-which cannot be left-extended and therefore keep their raw counts. Each
-order's discount is estimated as n1 / (n1 + 2 * n2) from the count table used
-at that order. Mass discounted at each level is redistributed through the
-next-lower level, ending in a uniform distribution over the vocabulary, so
-every smoothed distribution sums to one exactly.
+with its EOS token; contexts never cross documents. Only the top-order
+n-grams are counted, and that order keeps their raw counts. Below it, each
+k-gram occurrence has exactly one left neighbour in the padded sequence, so a
+k-gram's raw count is the sum over the (k+1)-grams that extend it, and its
+continuation count is their number. Lower orders use continuation counts,
+except for contexts that start with PAD, which cannot be left-extended and
+keep their raw counts. Each order's discount is n1 / (n1 + 2 * n2) over that
+order's counts, or 0.5 when no count is 1. Mass discounted at each level is
+redistributed through the next-lower level, ending in a uniform distribution
+over the vocabulary, so every smoothed distribution sums to one exactly.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,12 +35,12 @@ class _ContextEntry:
     distinct: int
 
 
-def _context_table(table: dict[tuple[int, ...], dict[int, int]]) -> dict[tuple[int, ...], _ContextEntry]:
-    """Wrap one order's context -> word-count table with its totals."""
-    return {
-        ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
-        for ctx, words in table.items()
-    }
+def _discount(table: dict[tuple[int, ...], int]) -> float:
+    """n1 / (n1 + 2 n2) over one order's counts; 0.5 when no count is 1,
+    since a zero discount would pass no mass to the lower orders."""
+    histogram = Counter(table.values())
+    n1, n2 = histogram[1], histogram[2]
+    return n1 / (n1 + 2.0 * n2) if n1 > 0 else 0.5
 
 
 class KneserNeyModel:
@@ -52,6 +55,19 @@ class KneserNeyModel:
         self.tables: list[dict[tuple[int, ...], _ContextEntry]] = []
         self.discounts: list[float] = []
 
+    def _set_counts(self, grams: list[dict[tuple[int, ...], int]]) -> None:
+        """Group each order's {k-gram: count} table by context and estimate
+        its discount; grams[k - 1] holds order k."""
+        for table in grams:
+            by_context: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
+            for gram, count in table.items():
+                by_context[gram[:-1]][gram[-1]] = count
+            self.tables.append({
+                ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
+                for ctx, words in by_context.items()
+            })
+            self.discounts.append(_discount(table))
+
     # ------------------------------------------------------------ fitting
 
     @classmethod
@@ -59,46 +75,22 @@ class KneserNeyModel:
         if not docs:
             raise ValueError("cannot fit an n-gram model on an empty corpus")
         model = cls(order, vocab_size)
-
-        raw: list[dict[tuple[int, ...], dict[int, int]]] = [
-            defaultdict(lambda: defaultdict(int)) for _ in range(order)
-        ]
-        for doc in docs:
-            seq = (PAD_ID,) * (order - 1) + tuple(doc.text_ids)
-            for i in range(order - 1, len(seq)):
-                w = seq[i]
-                for k in range(1, order + 1):
-                    ctx = seq[i - k + 1 : i]
-                    raw[k - 1][ctx][w] += 1
-
-        # continuation counts: distinct left extensions of each k-gram
-        for k in range(1, order + 1):
-            table: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
-            if k == order:
-                for ctx, words in raw[k - 1].items():
-                    table[ctx] = dict(words)
-            else:
-                continuation: dict[tuple[int, ...], dict[int, int]] = defaultdict(lambda: defaultdict(int))
-                for ctx, words in raw[k].items():
-                    for w in words:
-                        continuation[ctx[1:]][w] += 1
-                for ctx, words in raw[k - 1].items():
-                    if ctx[:1] == (PAD_ID,):
-                        # document-initial context: only PAD can extend it left
-                        table[ctx] = dict(words)
-                    else:
-                        table[ctx] = dict(continuation[ctx])
-            model.tables.append(_context_table(table))
-
-        for k in range(order):
-            n1 = n2 = 0
-            for entry in model.tables[k].values():
-                for c in entry.counts.values():
-                    if c == 1:
-                        n1 += 1
-                    elif c == 2:
-                        n2 += 1
-            model.discounts.append(n1 / (n1 + 2.0 * n2) if (n1 + 2 * n2) > 0 else 0.5)
+        pad = (PAD_ID,) * (order - 1)
+        raw = Counter(chain.from_iterable(
+            zip(*(seq[j:] for j in range(order))) for seq in (pad + tuple(doc.text_ids) for doc in docs)
+        ))
+        grams = [raw]
+        for k in range(order - 1, 0, -1):
+            continuation = Counter(gram[1:] for gram in raw)
+            # raw count: one per distinct extension, plus each extension's count beyond one
+            lower = continuation.copy()
+            for gram, count in raw.items():
+                if count > 1:
+                    lower[gram[1:]] += count - 1
+            # a context that starts with PAD begins its document: nothing extends it left
+            grams.append({g: lower[g] if k > 1 and g[0] == PAD_ID else n for g, n in continuation.items()})
+            raw = lower
+        model._set_counts(grams[::-1])
         return model
 
     # ------------------------------------------------------------ queries
@@ -147,24 +139,23 @@ class KneserNeyModel:
         with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for k, table in enumerate(self.tables, start=1):
-                for ctx in sorted(table):
-                    entry = table[ctx]
-                    for w in sorted(entry.counts):
-                        ctx_str = " ".join(map(str, ctx))
-                        fh.write(f"{k}\t{ctx_str}\t{w}\t{entry.counts[w]}\n")
+                for ctx, entry in sorted(table.items()):
+                    ctx_str = " ".join(map(str, ctx))
+                    for w, count in sorted(entry.counts.items()):
+                        fh.write(f"{k}\t{ctx_str}\t{w}\t{count}\n")
 
     @classmethod
     def load(cls, path) -> "KneserNeyModel":
+        """Read a count file; the discounts are re-estimated from its counts,
+        and the header's copy is left for human readers."""
         with open(path, encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             model = cls(header["order"], header["vocab_size"])
-            model.discounts = [float(d) for d in header["discounts"]]
-            raw: list[dict[tuple[int, ...], dict[int, int]]] = [
-                defaultdict(dict) for _ in range(model.order)
-            ]
-            for line in fh:
-                k_str, ctx_str, w_str, count_str = line.rstrip("\n").split("\t")
-                ctx = tuple(int(t) for t in ctx_str.split()) if ctx_str else ()
-                raw[int(k_str) - 1][ctx][int(w_str)] = int(count_str)
-        model.tables = [_context_table(table) for table in raw]
+            grams: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.order)]
+            for line_no, line in enumerate(fh, start=2):
+                k, *gram, count = map(int, line.split())
+                if not 1 <= k <= model.order or len(gram) != k:
+                    raise ValueError(f"{path}: malformed count line {line_no}")
+                grams[k - 1][tuple(gram)] = count
+        model._set_counts(grams)
         return model

@@ -128,9 +128,8 @@ def train(
     model.store.zero_grads()
 
     history: list[EpochStats] = []
-    best_nll = np.inf
+    best_nll = np.inf  # epoch 1 always beats it (a non-finite NLL raises) and sets best_values
     best_epoch = 0
-    best_values = model.store.copy_values()
     bad_epochs = 0
 
     for epoch in range(1, cfg.max_epochs + 1):

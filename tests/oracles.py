@@ -7,6 +7,7 @@ is the per-step form of backpropagation through time, which the package's
 per-document weight-gradient products must reproduce.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -303,7 +304,7 @@ class KneserNeyOracle:
         for table in self.used:
             n1 = sum(1 for c in table.values() if c == 1)
             n2 = sum(1 for c in table.values() if c == 2)
-            self.discounts.append(n1 / (n1 + 2.0 * n2) if (n1 + 2 * n2) > 0 else 0.5)
+            self.discounts.append(n1 / (n1 + 2.0 * n2) if n1 > 0 else 0.5)
 
     def prob(self, context, word):
         ctx = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
@@ -342,3 +343,12 @@ def adam_scalar(theta0, grads_of, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+def read_trace_csv(path):
+    """Parse an attention-trace CSV back into (main tokens, labeled weight rows)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0][1:]
+    body = [(row[0], [float(x) for x in row[1:]]) for row in rows[1:]]
+    return header, body

@@ -5,13 +5,13 @@ from samlm.attention import (
     AttentionTrace,
     BilinearAttention,
     encode_title,
-    read_trace_csv,
     write_trace_csv,
 )
 from samlm.gru import GruCell
 from samlm.tensor import ParamStore, grad_check, softmax
 
 import oracles
+from oracles import read_trace_csv
 
 
 def make_attention(attr_dim, hidden_dim, seed=0, zero=False):

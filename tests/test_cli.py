@@ -458,6 +458,16 @@ class TestSettings:
             assert all(call.items() >= expected.items() for call in calls[callee]), (callee, calls[callee])
         assert shaped(out)
 
+    def test_unknown_config_key_exits_two(self, corpus_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ordr": 2}))
+        out = tmp_path / "out"
+        train, test = str(corpus_files / "train.jsonl"), str(corpus_files / "test.jsonl")
+        assert main(["ngram", "--config", str(config), "--out", str(out), "--train", train, "--data", test]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "'ordr'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config, flags, shaped", [
         ("lda-label", {"topics": 3, "iterations": 2}, ["--topics", "2"],
          lambda out: len((out / "topic_words.txt").read_text().splitlines()) == 2),

@@ -13,12 +13,13 @@ from samlm.generation import (
     sample_index,
     style_variation,
 )
-from samlm.attention import read_trace_csv, write_trace_csv
+from samlm.attention import write_trace_csv
 from samlm.model import VARIANTS, ModelConfig, SamModel, build
 from samlm.tensor import softmax
 from samlm.trainer import TrainConfig, train
 
 import synth
+from oracles import read_trace_csv
 
 
 @pytest.fixture(scope="module")

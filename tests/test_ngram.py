@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,30 @@ class TestFit:
             ctx = tuple(rng.integers(0, len(vocab), size=2))
             total = sum(model.prob(ctx, w) for w in range(len(vocab)))
             assert abs(total - 1.0) <= 1e-6
+
+
+class TestDiscount:
+    # every unigram continuation count is 2, so n1 = 0 at order 1
+    TEXTS = ["a b c", "b c a", "c a b", "a c b"]
+
+    def test_order_without_singletons_takes_half(self):
+        vocab, attrs, docs = indexed_corpus(self.TEXTS)
+        model = KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab))
+        assert model.discounts == [0.5, 0.375]
+        a = vocab.index["a"]
+        assert model.prob((a,), UNK_ID) > 0
+        held = [IndexedDocument(id="h", text_ids=(a, UNK_ID, EOS_ID))]
+        assert np.isfinite(model.perplexity(held).perplexity)
+
+    def test_load_reestimates_a_saved_zero_discount(self, tmp_path):
+        vocab, attrs, docs = indexed_corpus(self.TEXTS)
+        model = KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab))
+        path = tmp_path / "kn2.counts"
+        model.save(path)
+        header, body = path.read_text().split("\n", 1)
+        edited = dict(json.loads(header), discounts=[0.0, 0.375])
+        path.write_text(json.dumps(edited) + "\n" + body)
+        assert KneserNeyModel.load(path).discounts == [0.5, 0.375]
 
 
 class TestAgainstOracle:
@@ -149,6 +175,16 @@ class TestPersistence:
             ctx = tuple(rng.integers(0, len(vocab), size=2))
             w = int(rng.integers(0, len(vocab)))
             assert loaded.prob(ctx, w) == model.prob(ctx, w)
+
+    @pytest.mark.parametrize("bad_line", ["2\t5\t3\n", "0\t\t5\t3\n", "3\t4 5\t6\t1\n"])
+    def test_malformed_count_line_names_its_number(self, tmp_path, bad_line):
+        vocab, attrs, docs = indexed_corpus(["a b a", "b a b"])
+        path = tmp_path / "kn2.counts"
+        KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab)).save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + [bad_line] + lines[2:]))
+        with pytest.raises(ValueError, match="line 3"):
+            KneserNeyModel.load(path)
 
     def test_file_is_sorted_text_with_header(self, tmp_path):
         vocab, attrs, docs = indexed_corpus(["a b a", "b a b"])

@@ -110,6 +110,18 @@ class TestTrainLoop:
         for name, value in snapshots[0].items():
             np.testing.assert_array_equal(model.store[name].value, value)
 
+    def test_parameters_copied_only_when_validation_improves(self, monkeypatch):
+        # epochs 1 and 3 improve: two whole-parameter copies, none before the first epoch
+        docs = [Document(id=str(i), text=("a", "b")) for i in range(4)]
+        model, indexed = small_pipeline("RNN", docs, d=4, d_tilde=2)
+        scripted = iter([2.0, 3.0, 1.0, 4.0])
+        monkeypatch.setattr(trainer_mod, "mean_nll", lambda m, d: next(scripted))
+        copies = []
+        real_copy = ParamStore.copy_values
+        monkeypatch.setattr(ParamStore, "copy_values", lambda store: copies.append(1) or real_copy(store))
+        train(model, indexed, indexed, TrainConfig(max_epochs=4, patience=2))
+        assert len(copies) == 2
+
     def test_history_is_reproducible(self):
         docs = synth.two_category_corpus(60, seed=5)
         runs = []
