@@ -5,7 +5,8 @@ d_attr) is scored against the previous main hidden state h (dimension d) as
 v @ M @ h, the scores pass through a softmax, and the context is the weighted
 sum of candidates. Title attention runs over the title encoder states; the
 attribute attention runs over the set of attribute embeddings, one of which
-may itself be the title context.
+may itself be the title context. Both attend a batch of rows, each row over
+candidates of its own; nothing is padded or masked.
 """
 
 from __future__ import annotations
@@ -22,40 +23,57 @@ from .tensor import Param, ParamStore, softmax
 
 @dataclass
 class TitleEncoding:
-    """Encoder states for one title, one row per word (n x d_tilde), left to
-    right from the zero state."""
+    """Encoder states of a batch of titles, each run left to right from the
+    zero state: `states[i]` is title i's (n_i x d_tilde).
 
-    states: np.ndarray
+    The encoder steps the titles longest first, so the titles still running
+    at any position are a prefix of its rows; `rows[i]` is title i's row.
+    `padded` holds the states by row and position (zero past a title's end),
+    and `caches[p]` and `token_ids[:, p]` the step at position p of the rows
+    still running.
+    """
+
+    states: list[np.ndarray]
+    rows: np.ndarray
+    padded: np.ndarray
+    token_ids: np.ndarray
     caches: list[GruCache]
 
     @property
     def last(self) -> np.ndarray:
-        return self.states[-1]
-
-    def __len__(self) -> int:
-        return len(self.states)
+        """Each title's final state, one row per title (B x d_tilde)."""
+        return np.array([states[-1] for states in self.states])
 
 
-def encode_title(cell: GruCell, title_ids, embeddings: np.ndarray) -> TitleEncoding:
-    """Run the title GRU over the title's word embeddings."""
-    if not title_ids:
+def encode_title(cell: GruCell, titles, embeddings: np.ndarray) -> TitleEncoding:
+    """Run the title GRU over a batch of titles (sequences of token ids),
+    stepping every title still running in one call per position."""
+    if not titles or not all(len(title) for title in titles):
         raise ValueError("cannot encode an empty title")
-    states = np.empty((len(title_ids), cell.hidden_dim))
+    order = np.argsort([-len(title) for title in titles], kind="stable")
+    lengths = np.array([len(titles[i]) for i in order])
+    token_ids = np.zeros((len(titles), lengths[0]), dtype=np.intp)
+    for row, i in enumerate(order):
+        token_ids[row, : lengths[row]] = titles[i]
+    inputs = embeddings[token_ids]
+    padded = np.zeros((len(titles), lengths[0], cell.hidden_dim))
+    h = np.zeros((len(titles), cell.hidden_dim))
     caches = []
-    h = np.zeros(cell.hidden_dim)
-    for i, token_id in enumerate(title_ids):
-        h, cache = cell.step(embeddings[token_id], h)
-        states[i] = h
+    for pos, k in enumerate((lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()):
+        h, cache = cell.step(inputs[:k, pos], h[:k])
+        padded[:k, pos] = h
         caches.append(cache)
-    return TitleEncoding(states=states, caches=caches)
+    rows = np.argsort(order)
+    states = [padded[rows[i], : len(title)] for i, title in enumerate(titles)]
+    return TitleEncoding(states, rows, padded, token_ids, caches)
 
 
 @dataclass
 class AttentionCache:
-    vectors: np.ndarray
+    vectors: list[np.ndarray]
     h_prev: np.ndarray
     mh: np.ndarray
-    weights: np.ndarray
+    weights: list[np.ndarray]
 
 
 class BilinearAttention:
@@ -64,38 +82,43 @@ class BilinearAttention:
     def __init__(self, store: ParamStore, name: str, attr_dim: int, hidden_dim: int, rng):
         self.M: Param = store.add(name, (attr_dim, hidden_dim), rng=rng)
 
-    def attend(
-        self, vectors: np.ndarray, h_prev: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-        """Return (context, weights, cache) for a non-empty candidate array,
-        one candidate per row."""
-        if len(vectors) == 0:
+    def attend(self, vectors, h_prev: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], AttentionCache]:
+        """Attend k rows, each over candidates of its own: `vectors` holds one
+        non-empty (n_i x d_attr) candidate array per row and `h_prev` the rows'
+        states (k x d). The projection M h is one product over the rows.
+        Returns the contexts (k x d_attr), each row's weights, and the cache."""
+        if not all(map(len, vectors)):
             raise ValueError("attention over an empty candidate set")
-        mh = self.M.value @ h_prev
-        weights = softmax(vectors @ mh)
-        context = weights @ vectors
-        return context, weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
+        mh = np.dot(h_prev, self.M.value.T)  # np.dot, as in GruCell.step
+        weights, context = [], []
+        for v, m in zip(vectors, mh):
+            weights.append(softmax(v @ m))
+            context.append(weights[-1] @ v)
+        return np.array(context), weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
 
     def backward(
         self, cache: AttentionCache, dcontext: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chain rule through the weighted sum, softmax, and bilinear score.
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Chain rule through the weighted sum, softmax, and bilinear score,
+        row by row, given the contexts' gradients (k x d_attr).
 
-        Returns the candidate gradients (one row per candidate), the gradient
-        w.r.t. h_prev, and u, for which M's gradient is outer(u, h_prev);
-        `add_weight_grads` forms that once for a run of steps.
+        Returns each row's candidate gradients (one row per candidate), the
+        gradient w.r.t. h_prev (k x d), and u (k x d_attr), for which M's
+        gradient is u.T @ h_prev; `add_weight_grads` forms that once for a
+        run of steps.
         """
-        weights = cache.weights
-        dweights = cache.vectors @ dcontext
-        dscores = weights * (dweights - weights @ dweights)
-        u = dscores @ cache.vectors
-        dh_prev = self.M.value.T @ u
-        dvectors = np.outer(weights, dcontext) + np.outer(dscores, cache.mh)
-        return dvectors, dh_prev, u
+        dvectors, us = [], []
+        for vectors, weights, mh, dc in zip(cache.vectors, cache.weights, cache.mh, dcontext):
+            dweights = vectors @ dc
+            dscores = weights * (dweights - weights @ dweights)
+            us.append(dscores @ vectors)
+            dvectors.append(weights[:, None] * dc + dscores[:, None] * mh)  # outer products
+        u = np.array(us)
+        return dvectors, np.dot(u, self.M.value), u
 
     def add_weight_grads(self, caches: list[AttentionCache], us: list[np.ndarray]) -> None:
         """Accumulate M's gradient over a run of steps in one product."""
-        self.M.grad += np.stack(us).T @ np.stack([cache.h_prev for cache in caches])
+        self.M.grad += np.vstack(us).T @ np.vstack([cache.h_prev for cache in caches])
 
 
 @dataclass

@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import AttentionTrace
 from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, Vocabulary, index_document
-from .model import DocState, SamModel, StepRecord
+from .model import BatchState, SamModel, StepRecord
 from .tensor import softmax
 
 
@@ -59,7 +59,7 @@ def masked_distribution(logits: np.ndarray, temperature: float = 1.0) -> np.ndar
 
 def _conditioning(
     model: SamModel, vocab: Vocabulary, attrs: AttributeInventory, req: GenRequest
-) -> tuple[DocState, list[str]]:
+) -> tuple[BatchState, list[str]]:
     source = Document(id="generation", text=(), title=req.title, author=req.author, category=req.category)
     warnings = [
         f"unknown {what} {name!r}: using the unknown-{what} embedding"
@@ -69,7 +69,7 @@ def _conditioning(
         )
         if used and name is not None and name not in inventory.index
     ]
-    return model.prepare(index_document(source, vocab, attrs)), warnings
+    return model.prepare([index_document(source, vocab, attrs)]), warnings
 
 
 def generate(
@@ -90,19 +90,21 @@ def _decode(
     model: SamModel,
     vocab: Vocabulary,
     req: GenRequest,
-    states: list[DocState],
+    states: list[BatchState],
     warnings: list[str],
     watch: Callable[[list[np.ndarray]], None] | None = None,
 ) -> GenResult:
-    """Decode from states[0]. Any further states are stepped beside it on the
-    same tokens. Each stepped state goes through the output layer once, and
-    `watch` sees every step's logits, one vector per state."""
+    """Decode from states[0], a one-row state. Any further states are
+    stepped beside it on the same tokens, each as a one-row step of its own,
+    so every product keeps the bits of a matrix-vector one. Each stepped
+    state goes through the output layer once, and `watch` sees every step's
+    logits, one vector per state."""
     rng = np.random.default_rng(req.seed)
     tokens: list[str] = []
     chosen_probs: list[float] = []
 
-    def choose(steps: list[StepRecord]) -> int | None:
-        logits = [model.output(step.h) for step in steps]
+    def choose(steps: list[StepRecord]) -> list[int] | None:
+        logits = [model.output(step.h[0]) for step in steps]
         if watch is not None:
             watch(logits)
         greedy = req.strategy == "greedy"
@@ -110,7 +112,7 @@ def _decode(
         idx = int(np.argmax(probs)) if greedy else sample_index(probs, rng)
         tokens.append(vocab.token_for(idx))
         chosen_probs.append(float(probs[idx]))
-        return None if idx == EOS_ID or len(tokens) == req.max_len else idx
+        return None if idx == EOS_ID or len(tokens) == req.max_len else [idx]
 
     trace = model.unroll(states, choose)
     trace.main_tokens = list(tokens)

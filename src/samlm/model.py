@@ -4,9 +4,10 @@ Per timestep the model embeds the input word, builds the active attribute
 candidate set (title context via title attention, author and category table
 rows), fuses candidates with attribute attention when there is more than one,
 concatenates the fused context onto the word embedding, and steps the main
-GRU. An affine softmax layer scores the next word from each hidden state; it
-never feeds back into the recurrence, so teacher forcing applies it once to
-the stacked states of a whole document and decoding once per stepped state.
+GRU. A batch of documents steps in lockstep, one row per document. An affine
+softmax layer scores the next word from each hidden state; it never feeds
+back into the recurrence, so teacher forcing applies it once to the stacked
+states of a whole batch and decoding once per stepped state.
 
 Conventions the whole package relies on:
   - the first prediction conditions on the PAD embedding standing in for a
@@ -113,43 +114,52 @@ class ModelConfig:
 
 
 @dataclass
-class DocState:
-    """Per-document conditioning prepared once before stepping."""
+class BatchState:
+    """Conditioning of a batch of documents, prepared once before stepping:
+    one row per document, in the order `prepare` was given them."""
 
     h0: np.ndarray
-    title_ids: tuple[int, ...] | None = None
+    title_ids: list[tuple[int, ...]] | None = None
     enc: TitleEncoding | None = None
     bow_vec: np.ndarray | None = None
     mean_emb: np.ndarray | None = None
-    author_id: int | None = None
-    category_id: int | None = None
+    author_ids: np.ndarray | None = None
+    category_ids: np.ndarray | None = None
 
 
 @dataclass
 class StepRecord:
-    """One step of the recurrence: the new state, its attention weights, and
-    what backpropagation through the step needs."""
+    """One step of the recurrence for the rows it ran: their inputs and new
+    states, their attention weights over title words and over attributes
+    (one array per row), and what backpropagation needs."""
 
-    x_id: int
+    x_ids: np.ndarray
     h: np.ndarray
     gru: GruCache
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
+    alpha: list[np.ndarray] | None = None
+    beta: list[np.ndarray] | np.ndarray | None = None
     title_att: AttentionCache | None = None
     attr_att: AttentionCache | None = None
 
 
 @dataclass
 class DocForward:
-    """A teacher-forced pass. With caches it also holds the step records,
-    the stacked hidden states (T x d) and the next-word distributions (T x V)."""
+    """A teacher-forced pass over a batch of documents.
 
-    doc: IndexedDocument
-    state: DocState
+    The rows of `state` are the documents sorted longest first, so the rows
+    still running at any step are a prefix. `total_nll` sums every target;
+    `per_word_nll` lists the targets' NLLs document by document, in the order
+    the documents were given. With caches it also holds the step records and
+    every target, hidden state (N x d) and next-word distribution (N x V),
+    stacked step by step, each step's rows in order.
+    """
+
+    state: BatchState
     total_nll: float
     per_word_nll: list[float]
     trace: AttentionTrace
     caches: list[StepRecord] = field(default_factory=list)
+    targets: np.ndarray | None = None
     hidden: np.ndarray | None = None
     probs: np.ndarray | None = None
 
@@ -197,65 +207,71 @@ class SamModel:
 
     # ------------------------------------------------------------- forward
 
-    def prepare(self, doc: IndexedDocument) -> DocState:
-        """Resolve the document's conditioning inputs for this variant."""
+    def prepare(self, docs: list[IndexedDocument]) -> BatchState:
+        """Resolve the documents' conditioning inputs for this variant; the
+        title encoder runs once over all their titles."""
         spec = self.variant
-        state = DocState(h0=np.zeros(self.config.d))
-        if spec.needs_title:
-            if not doc.title_ids:
+        for doc in docs:
+            if spec.needs_title and not doc.title_ids:
                 raise ValueError(f"variant {spec.name} requires a title (doc {doc.id})")
-            state.title_ids = tuple(doc.title_ids)
+            if spec.author:
+                if doc.author_id is None:
+                    raise ValueError(f"variant {spec.name} requires an author (doc {doc.id})")
+                if not 0 <= doc.author_id < self.config.n_authors:
+                    raise ValueError(f"author id {doc.author_id} out of range (doc {doc.id})")
+            if spec.category:
+                if doc.category_id is None:
+                    raise ValueError(f"variant {spec.name} requires a category (doc {doc.id})")
+                if not 0 <= doc.category_id < self.config.n_categories:
+                    raise ValueError(f"category id {doc.category_id} out of range (doc {doc.id})")
+        state = BatchState(h0=np.zeros((len(docs), self.config.d)))
+        if spec.needs_title:
+            state.title_ids = [tuple(doc.title_ids) for doc in docs]
         if spec.author:
-            if doc.author_id is None:
-                raise ValueError(f"variant {spec.name} requires an author (doc {doc.id})")
-            if not 0 <= doc.author_id < self.config.n_authors:
-                raise ValueError(f"author id {doc.author_id} out of range (doc {doc.id})")
-            state.author_id = doc.author_id
+            state.author_ids = np.array([doc.author_id for doc in docs])
         if spec.category:
-            if doc.category_id is None:
-                raise ValueError(f"variant {spec.name} requires a category (doc {doc.id})")
-            if not 0 <= doc.category_id < self.config.n_categories:
-                raise ValueError(f"category id {doc.category_id} out of range (doc {doc.id})")
-            state.category_id = doc.category_id
+            state.category_ids = np.array([doc.category_id for doc in docs])
         if spec.needs_title_encoder:
             state.enc = encode_title(self.title_cell, state.title_ids, self.E.value)
         if spec.state_init:
-            state.h0 = self.state_W.value @ state.enc.last + self.state_b.value
+            state.h0 = state.enc.last @ self.state_W.value.T + self.state_b.value
         if spec.bow:
-            state.mean_emb = self.E.value[list(state.title_ids)].mean(axis=0)
-            state.bow_vec = self.bow_W.value @ state.mean_emb
+            state.mean_emb = np.array([self.E.value[list(ids)].mean(axis=0) for ids in state.title_ids])
+            state.bow_vec = state.mean_emb @ self.bow_W.value.T
         return state
 
-    def step(self, x_id: int, h_prev: np.ndarray, state: DocState) -> StepRecord:
-        """One recurrence step conditioned on the doc state; no output layer."""
+    def step(self, x_ids, h_prev: np.ndarray, state: BatchState) -> StepRecord:
+        """One recurrence step of the first k = len(x_ids) rows of `state`,
+        from their states h_prev (k x d); no output layer."""
         spec = self.variant
-        x_emb = self.E.value[x_id]
+        k = len(x_ids)
+        x_emb = self.E.value[x_ids]
         alpha = beta = None
         t_cache = a_cache = None
 
         candidates: list[np.ndarray] = []
         if spec.title_attention:
-            c_title, alpha, t_cache = self.title_att.attend(state.enc.states, h_prev)
+            c_title, alpha, t_cache = self.title_att.attend(state.enc.states[:k], h_prev)
             candidates.append(c_title)
         if spec.author:
-            candidates.append(self.author_table.value[state.author_id])
+            candidates.append(self.author_table.value[state.author_ids[:k]])
         if spec.category:
-            candidates.append(self.category_table.value[state.category_id])
+            candidates.append(self.category_table.value[state.category_ids[:k]])
 
         if spec.bow:
-            w = tensor.concat(x_emb, state.bow_vec)
+            w = tensor.concat(x_emb, state.bow_vec[:k])
         elif len(candidates) == 1:
             # single attribute: attention over one candidate is the identity
-            beta = np.ones(1)
+            beta = np.ones((k, 1))
             w = tensor.concat(x_emb, candidates[0])
         elif candidates:
-            context, beta, a_cache = self.attr_att.attend(np.array(candidates), h_prev)
+            context, beta, a_cache = self.attr_att.attend(np.array(candidates).swapaxes(0, 1), h_prev)
             w = tensor.concat(x_emb, context)
         else:
             w = x_emb
 
         h, g_cache = self.main_cell.step(w, h_prev)
-        return StepRecord(x_id, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
+        return StepRecord(x_ids, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
 
     def output(self, h: np.ndarray) -> np.ndarray:
         """Next-word logits of one hidden state (d) or a stack of them (T x d)."""
@@ -263,30 +279,33 @@ class SamModel:
 
     def unroll(
         self,
-        states: list[DocState],
-        choose: Callable[[list[StepRecord]], int | None],
+        states: list[BatchState],
+        choose: Callable[[list[StepRecord]], np.ndarray | None],
         want_trace: bool = True,
     ) -> AttentionTrace:
         """The recurrence loop: step `states` in lockstep on one input stream.
 
-        The stream starts at PAD. After each step `choose` gets the records,
-        one per state, and returns the next input id or None to stop: the
-        next target under teacher forcing, the chosen token when decoding.
-        Returns the attention trace of the first state: title-word weights
+        Every row starts at PAD. After each step `choose` gets the records,
+        one per state, and returns the next input ids or None to stop. The
+        ids are one per row still running, and those must be the first rows:
+        the next targets of the documents that go on under teacher forcing,
+        the chosen token of a one-row state when decoding. Returns the
+        attention trace of the first state's first row: title-word weights
         and attribute weights stacked one column per step, None where the
         variant has none.
         """
         hs = [state.h0 for state in states]
         alphas: list[np.ndarray | None] = []
         betas: list[np.ndarray | None] = []
-        x_id = PAD_ID
-        while x_id is not None:
-            steps = [self.step(x_id, h, state) for h, state in zip(hs, states)]
+        x_ids = np.full(len(hs[0]), PAD_ID)
+        while x_ids is not None:
+            steps = [self.step(x_ids, h[: len(x_ids)], state) for h, state in zip(hs, states)]
             if want_trace:
-                alphas.append(steps[0].alpha)
-                betas.append(steps[0].beta)
+                first = steps[0]
+                alphas.append(None if first.alpha is None else first.alpha[0])
+                betas.append(None if first.beta is None else first.beta[0])
             hs = [s.h for s in steps]
-            x_id = choose(steps)
+            x_ids = choose(steps)
 
         def stack(cols):
             return np.column_stack(cols) if cols and cols[0] is not None else None
@@ -295,35 +314,51 @@ class SamModel:
             alpha=stack(alphas), beta=stack(betas), attr_names=list(self.variant.candidate_names)
         )
 
-    def forward_document(
-        self, doc: IndexedDocument, want_trace: bool = True, want_caches: bool = True
-    ) -> DocForward:
-        """Teacher-forced pass over the document's main text, EOS included.
+    def forward_document(self, docs, want_trace: bool = True, want_caches: bool = True) -> DocForward:
+        """Teacher-forced pass over one document or a batch of them, EOS
+        included.
 
-        The recurrence runs first; the output layer then scores every
-        target in one product over the stacked hidden states.
+        The documents run in lockstep as rows sorted longest first, and a row
+        drops out when its document ends, so every step is one product per
+        weight over the rows still running. The output layer then scores
+        every target of the batch in one product. A trace covers one document.
         """
-        state = self.prepare(doc)
-        targets = doc.text_ids
-        if not targets:
-            raise ValueError(f"document {doc.id} has no tokens to predict")
+        docs = [docs] if isinstance(docs, IndexedDocument) else list(docs)
+        for doc in docs:
+            if not doc.text_ids:
+                raise ValueError(f"document {doc.id} has no tokens to predict")
+        if want_trace and len(docs) > 1:
+            raise ValueError("an attention trace covers one document")
+        order = np.argsort([-len(doc.text_ids) for doc in docs], kind="stable")
+        state = self.prepare([docs[i] for i in order])
+        lengths = np.array([len(docs[i].text_ids) for i in order])
+        grid = np.full((lengths[0], len(docs)), PAD_ID)  # targets, step x row
+        running = np.arange(lengths[0])[:, None] < lengths
+        for row, i in enumerate(order):
+            grid[: lengths[row], row] = docs[i].text_ids
+        rows_at = running.sum(axis=1).tolist()  # rows still running at each step
         steps: list[StepRecord] = []
 
-        def teacher(new: list[StepRecord]) -> int | None:
+        def teacher(new: list[StepRecord]) -> np.ndarray | None:
             steps.append(new[0])
-            return targets[len(steps) - 1] if len(steps) < len(targets) else None
+            t = len(steps)
+            return grid[t - 1, : rows_at[t]] if t < len(rows_at) else None
 
         trace = self.unroll([state], teacher, want_trace)
-        hidden = np.stack([s.h for s in steps])
+        targets = grid[running]
+        hidden = np.concatenate([s.h for s in steps])
         shifted = self.output(hidden)
         shifted -= shifted.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         sums = exps.sum(axis=1)
         nlls = np.log(sums) - shifted[np.arange(len(targets)), targets]
-        fwd = DocForward(doc, state, float(nlls.sum()), nlls.tolist(), trace)
+        position = np.zeros(running.shape, dtype=np.intp)
+        position[running] = np.arange(len(targets))
+        per_word = np.concatenate([nlls[position[: lengths[row], row]] for row in np.argsort(order)])
+        fwd = DocForward(state, float(nlls.sum()), per_word.tolist(), trace)
         if want_caches:
             exps /= sums[:, None]
-            fwd.caches, fwd.hidden, fwd.probs = steps, hidden, exps
+            fwd.caches, fwd.targets, fwd.hidden, fwd.probs = steps, targets, hidden, exps
         return fwd
 
     def document_nll(self, doc: IndexedDocument) -> tuple[float, int]:
@@ -337,55 +372,60 @@ class SamModel:
 
         Full backpropagation through time: output layer, main GRU, both
         attentions, the state-init map, the bag-of-words projection, the
-        title encoder, and the shared embeddings. Only the recurrence runs
-        step by step; every weight matrix's gradient is one product over the
-        stacked steps of the document (or of the title, for the encoder).
+        title encoder, and the shared embeddings. The recurrence runs back
+        step by step over the same rows as the forward pass; every weight
+        matrix's gradient is one product over all the batch's stacked steps
+        (or its titles', for the encoder).
         """
         spec = self.variant
         state = fwd.state
-        targets = fwd.doc.text_ids
         steps = fwd.caches
-        n = len(targets)
-        if len(steps) != n:
+        if not steps:
             raise ValueError("backward needs the caches of a full forward pass")
         d = self.config.d
 
         dlogits = fwd.probs.copy()
-        dlogits[np.arange(n), targets] -= 1.0
+        dlogits[np.arange(len(fwd.targets)), fwd.targets] -= 1.0
         self.Wout.grad += dlogits.T @ fwd.hidden
         self.bout.grad += dlogits.sum(axis=0)
         dhidden = dlogits @ self.Wout.value
 
-        d_states = np.zeros_like(state.enc.states) if state.enc is not None else None
-        dbow = np.zeros(self.config.d_tilde) if spec.bow else None
-        gate_grads: list = [None] * n
-        title_us: list = [None] * n
-        attr_us: list = [None] * n
-        dh_next = np.zeros(d)
+        enc = state.enc
+        d_states = np.zeros_like(enc.padded) if enc is not None else None
+        dbow = np.zeros_like(state.bow_vec) if spec.bow else None
+        gate_grads: list = [None] * len(steps)
+        title_us: list = [None] * len(steps)
+        attr_us: list = [None] * len(steps)
+        dh_next = np.zeros_like(state.h0)
+        end = len(dhidden)
 
-        for t in range(n - 1, -1, -1):
+        for t in range(len(steps) - 1, -1, -1):
             step = steps[t]
-            dw, dh_prev, gate_grads[t] = self.main_cell.backward(step.gru, dhidden[t] + dh_next)
-            self.E.grad[step.x_id] += dw[:d]
+            k = len(step.x_ids)
+            dw, dh_prev, gate_grads[t] = self.main_cell.backward(step.gru, dhidden[end - k : end] + dh_next[:k])
+            end -= k
+            np.add.at(self.E.grad, step.x_ids, dw[:, :d])
             if spec.bow:
-                dbow += dw[d:]
+                dbow[:k] += dw[:, d:]
             elif spec.candidate_names:
-                dcontext = dw[d:]
+                dcontext = dw[:, d:]
                 if step.attr_att is not None:
                     dcands, dh_att, attr_us[t] = self.attr_att.backward(step.attr_att, dcontext)
                     dh_prev += dh_att
+                    dcands = np.array(dcands).transpose(1, 0, 2)  # candidate, row, d_tilde
                 else:
                     dcands = [dcontext]
                 for name, dcand in zip(spec.candidate_names, dcands):
                     if name == "title":
                         dvecs, dh_att, title_us[t] = self.title_att.backward(step.title_att, dcand)
                         dh_prev += dh_att
-                        d_states += dvecs
+                        for row, dv in enumerate(dvecs):
+                            d_states[enc.rows[row], : len(dv)] += dv
                     elif name == "author":
-                        self.author_table.grad[state.author_id] += dcand
+                        np.add.at(self.author_table.grad, state.author_ids[:k], dcand)
                     else:
-                        self.category_table.grad[state.category_id] += dcand
-            dh_next = dh_prev
+                        np.add.at(self.category_table.grad, state.category_ids[:k], dcand)
+            dh_next[:k] = dh_prev
 
         self.main_cell.add_weight_grads([step.gru for step in steps], gate_grads)
         if self.title_att is not None:
@@ -393,23 +433,23 @@ class SamModel:
         if self.attr_att is not None:
             self.attr_att.add_weight_grads([step.attr_att for step in steps], attr_us)
         if spec.state_init:
-            self.state_W.grad += np.outer(dh_next, state.enc.last)
-            self.state_b.grad += dh_next
-            d_states[-1] += self.state_W.value.T @ dh_next
+            self.state_W.grad += dh_next.T @ enc.last
+            self.state_b.grad += dh_next.sum(axis=0)
+            d_states[enc.rows, [len(states) - 1 for states in enc.states]] += dh_next @ self.state_W.value
         if spec.bow:
-            self.bow_W.grad += np.outer(dbow, state.mean_emb)
-            dmean = self.bow_W.value.T @ dbow / len(state.title_ids)
-            for token_id in state.title_ids:
-                self.E.grad[token_id] += dmean
-        if state.enc is not None:
-            title_grads: list = [None] * len(state.enc)
-            dh_carry = np.zeros(self.config.d_tilde)
-            for t in range(len(state.enc) - 1, -1, -1):
-                dw_t, dh_carry, title_grads[t] = self.title_cell.backward(
-                    state.enc.caches[t], d_states[t] + dh_carry
+            self.bow_W.grad += dbow.T @ state.mean_emb
+            for ids, dmean in zip(state.title_ids, dbow @ self.bow_W.value):
+                np.add.at(self.E.grad, list(ids), dmean / len(ids))
+        if enc is not None:
+            title_grads: list = [None] * len(enc.caches)
+            dh_carry = np.zeros_like(enc.padded[:, 0])
+            for pos in range(len(enc.caches) - 1, -1, -1):
+                k = len(enc.caches[pos].w)
+                dw_t, dh_carry[:k], title_grads[pos] = self.title_cell.backward(
+                    enc.caches[pos], d_states[:k, pos] + dh_carry[:k]
                 )
-                self.E.grad[state.title_ids[t]] += dw_t
-            self.title_cell.add_weight_grads(state.enc.caches, title_grads)
+                np.add.at(self.E.grad, enc.token_ids[:k, pos], dw_t)
+            self.title_cell.add_weight_grads(enc.caches, title_grads)
 
 
 def build(config: ModelConfig) -> SamModel:

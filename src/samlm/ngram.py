@@ -147,14 +147,24 @@ class KneserNeyModel:
     @classmethod
     def load(cls, path) -> "KneserNeyModel":
         """Read a count file; the discounts are re-estimated from its counts,
-        and the header's copy is left for human readers."""
+        and the header's copy is left for human readers. A line that is not
+        an order in 1..order, that many token ids in [0, vocab_size) and a
+        count of at least 1 raises ValueError naming the file and the line."""
         with open(path, encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             model = cls(header["order"], header["vocab_size"])
             grams: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.order)]
             for line_no, line in enumerate(fh, start=2):
-                k, *gram, count = map(int, line.split())
-                if not 1 <= k <= model.order or len(gram) != k:
+                try:
+                    k, *gram, count = map(int, line.split())
+                except ValueError:  # a blank or one-field line, or a field that is no integer
+                    k, gram, count = 0, (), 0
+                if (
+                    not 1 <= k <= model.order
+                    or len(gram) != k
+                    or count < 1
+                    or not all(0 <= token < model.vocab_size for token in gram)
+                ):
                     raise ValueError(f"{path}: malformed count line {line_no}")
                 grams[k - 1][tuple(gram)] = count
         model._set_counts(grams)

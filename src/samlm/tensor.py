@@ -34,10 +34,9 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two vectors into one."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("concat expects vectors")
-    return np.concatenate([a, b])
+    """Join two vectors, or two stacks of row vectors, along the last axis;
+    mismatched shapes raise ValueError."""
+    return np.concatenate([a, b], axis=-1)
 
 
 class Param:

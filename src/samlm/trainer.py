@@ -38,7 +38,9 @@ class Adam:
     """Bias-corrected Adam over a ParamStore; grads are zeroed after a step.
 
     The moment decays and epsilon are the defaults of Kingma & Ba
-    (arXiv:1412.6980)."""
+    (arXiv:1412.6980). A step allocates nothing: every operation writes into
+    the moments, the gradient (spent once the moments are updated) or one
+    scratch buffer the size of the largest tensor."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -50,6 +52,7 @@ class Adam:
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in store.params()}
         self.v = {p.name: np.zeros_like(p.value) for p in store.params()}
+        self.scratch = np.empty(max((p.value.size for p in store.params()), default=0))
 
     def step(self) -> None:
         self.t += 1
@@ -57,16 +60,27 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for p in self.store.params():
-            if not np.all(np.isfinite(p.grad)):
+            g = p.grad
+            if not np.all(np.isfinite(g)):
                 raise ValueError(f"non-finite gradient in {p.name}")
             m = self.m[p.name]
             v = self.v[p.name]
+            buf = self.scratch[: g.size].reshape(g.shape)
+            # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g
             m *= b1
-            m += (1.0 - b1) * p.grad
+            m += np.multiply(g, 1.0 - b1, out=buf)
             v *= b2
-            v += (1.0 - b2) * p.grad * p.grad
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
-            p.grad[...] = 0.0
+            np.multiply(g, 1.0 - b2, out=buf)
+            v += np.multiply(buf, g, out=buf)
+            # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=g)
+            g *= self.lr
+            np.divide(v, bias2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.EPS
+            g /= buf
+            p.value -= g
+            g[...] = 0.0
 
 
 @dataclass
@@ -115,8 +129,12 @@ def train(
 ) -> TrainResult:
     """Train until validation NLL stops improving for `patience` epochs.
 
-    Gradients are token-mean within each batch; documents in a batch are
-    processed independently. The model is left holding the best parameters,
+    Each mini-batch is one forward and one backward pass that steps its
+    documents in lockstep (`SamModel.forward_document`), and its gradients
+    are token-means over the batch. A row of a several-row product may differ
+    from the one-row product in its last bits, so the trained weights depend
+    on the batch composition in their low bits; the same seed still gives the
+    same weights. The model is left holding the best parameters,
     and `<run>/best.ckpt`, `<run>/last.ckpt`, `<run>/history.csv` are written
     when a run directory is given.
     """
@@ -136,12 +154,10 @@ def train(
         started = time.perf_counter()
         epoch_nll, epoch_tokens = 0.0, 0
         for batch in _batches(train_docs, cfg.batch_size, rng):
-            batch_tokens = 0
-            for doc in batch:
-                fwd = model.forward_document(doc, want_trace=False)
-                model.backward_document(fwd)
-                epoch_nll += fwd.total_nll
-                batch_tokens += len(fwd.per_word_nll)
+            fwd = model.forward_document(batch, want_trace=False)
+            model.backward_document(fwd)
+            epoch_nll += fwd.total_nll
+            batch_tokens = len(fwd.per_word_nll)
             epoch_tokens += batch_tokens
             model.store.scale_grads(1.0 / batch_tokens)
             model.store.clip_grad_norm(cfg.clip_norm)

@@ -8,6 +8,7 @@ per-document weight-gradient products must reproduce.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -202,14 +203,22 @@ def attention_backward_per_step(att, cache, dcontext):
     return dvectors, dh_prev
 
 
+def first_row(cache):
+    """The one-row form of a row-form step cache (a `GruCache` or an
+    `AttentionCache`): every field's first row."""
+    return type(cache)(**{f.name: getattr(cache, f.name)[0] for f in dataclasses.fields(cache)})
+
+
 def reference_backward_document(model, fwd):
     """Backpropagation through time with every weight gradient added step by
-    step, from the caches of `model.forward_document(doc)`. Accumulates into
-    the model's gradient buffers, as `backward_document` does."""
+    step, from the caches of `model.forward_document(doc)` for one document.
+    Accumulates into the model's gradient buffers, as `backward_document`
+    does."""
     spec = model.variant
     state = fwd.state
-    targets = fwd.doc.text_ids
+    targets = fwd.targets
     d = model.config.d
+    enc = state.enc
 
     dlogits = fwd.probs.copy()
     dlogits[np.arange(len(targets)), targets] -= 1.0
@@ -217,51 +226,51 @@ def reference_backward_document(model, fwd):
     model.bout.grad += dlogits.sum(axis=0)
     dhidden = dlogits @ model.Wout.value
 
-    d_states = [np.zeros(model.config.d_tilde) for _ in state.enc.states] if state.enc is not None else None
+    d_states = [np.zeros(model.config.d_tilde) for _ in enc.states[0]] if enc is not None else None
     dbow = np.zeros(model.config.d_tilde) if spec.bow else None
     dh_next = np.zeros(d)
 
     for t in range(len(targets) - 1, -1, -1):
         cache = fwd.caches[t]
-        dw, dh_prev = gru_backward_per_step(model.main_cell, cache.gru, dhidden[t] + dh_next)
-        model.E.grad[cache.x_id] += dw[:d]
+        dw, dh_prev = gru_backward_per_step(model.main_cell, first_row(cache.gru), dhidden[t] + dh_next)
+        model.E.grad[cache.x_ids[0]] += dw[:d]
         if spec.bow:
             dbow += dw[d:]
         elif spec.candidate_names:
             dcontext = dw[d:]
             if cache.attr_att is not None:
-                dcands, dh_att = attention_backward_per_step(model.attr_att, cache.attr_att, dcontext)
+                dcands, dh_att = attention_backward_per_step(model.attr_att, first_row(cache.attr_att), dcontext)
                 dh_prev += dh_att
             else:
                 dcands = [dcontext]
             for name, dcand in zip(spec.candidate_names, dcands):
                 if name == "title":
-                    dvecs, dh_att = attention_backward_per_step(model.title_att, cache.title_att, dcand)
+                    dvecs, dh_att = attention_backward_per_step(model.title_att, first_row(cache.title_att), dcand)
                     dh_prev += dh_att
                     for i, dv in enumerate(dvecs):
                         d_states[i] += dv
                 elif name == "author":
-                    model.author_table.grad[state.author_id] += dcand
+                    model.author_table.grad[state.author_ids[0]] += dcand
                 else:
-                    model.category_table.grad[state.category_id] += dcand
+                    model.category_table.grad[state.category_ids[0]] += dcand
         dh_next = dh_prev
 
     if spec.state_init:
-        model.state_W.grad += np.outer(dh_next, state.enc.last)
+        model.state_W.grad += np.outer(dh_next, enc.last[0])
         model.state_b.grad += dh_next
         d_states[-1] += model.state_W.value.T @ dh_next
     if spec.bow:
-        model.bow_W.grad += np.outer(dbow, state.mean_emb)
-        dmean = model.bow_W.value.T @ dbow / len(state.title_ids)
-        for token_id in state.title_ids:
+        model.bow_W.grad += np.outer(dbow, state.mean_emb[0])
+        dmean = model.bow_W.value.T @ dbow / len(state.title_ids[0])
+        for token_id in state.title_ids[0]:
             model.E.grad[token_id] += dmean
-    if state.enc is not None:
+    if enc is not None:
         dh_carry = np.zeros(model.config.d_tilde)
-        for t in range(len(state.enc.states) - 1, -1, -1):
+        for t in range(len(enc.states[0]) - 1, -1, -1):
             dw_t, dh_carry = gru_backward_per_step(
-                model.title_cell, state.enc.caches[t], d_states[t] + dh_carry
+                model.title_cell, first_row(enc.caches[t]), d_states[t] + dh_carry
             )
-            model.E.grad[state.title_ids[t]] += dw_t
+            model.E.grad[state.title_ids[0][t]] += dw_t
 
 
 class KneserNeyOracle:
@@ -343,6 +352,22 @@ def adam_scalar(theta0, grads_of, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+def adam_expression_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t of bias-corrected Adam written as whole-array expressions, the
+    form `trainer.Adam.step` had before it wrote into preallocated buffers;
+    updates the moment dicts `m` and `v` in place and zeroes the grads."""
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for p in store.params():
+        mp, vp = m[p.name], v[p.name]
+        mp *= beta1
+        mp += (1.0 - beta1) * p.grad
+        vp *= beta2
+        vp += (1.0 - beta2) * p.grad * p.grad
+        p.value -= lr * (mp / bias1) / (np.sqrt(vp / bias2) + eps)
+        p.grad[...] = 0.0
 
 
 def read_trace_csv(path):

@@ -89,23 +89,23 @@ class TestCriterion2ScalarOracles:
             att = BilinearAttention(att_store, "M1", 3, 5, np.random.default_rng(seed))
             states = [rng.uniform(-1, 1, 3) for _ in range(4)]
             h_main = rng.uniform(-1, 1, 5)
-            context, weights, _ = att.attend(states, h_main)
+            context, weights, _ = att.attend([np.array(states)], h_main[None])
             exp_context, exp_weights = oracles.scalar_attention(
                 att.M.value.tolist(), [s.tolist() for s in states], h_main.tolist()
             )
-            np.testing.assert_allclose(context, exp_context, atol=1e-10)
-            np.testing.assert_allclose(weights, exp_weights, atol=1e-10)
+            np.testing.assert_allclose(context[0], exp_context, atol=1e-10)
+            np.testing.assert_allclose(weights[0], exp_weights, atol=1e-10)
 
             # attribute attention over a small candidate set
             att2_store = ParamStore()
             att2 = BilinearAttention(att2_store, "M2", 3, 5, np.random.default_rng(seed + 99))
             cands = [rng.uniform(-1, 1, 3) for _ in range(3)]
-            context, weights, _ = att2.attend(cands, h_main)
+            context, weights, _ = att2.attend([np.array(cands)], h_main[None])
             exp_context, exp_weights = oracles.scalar_attention(
                 att2.M.value.tolist(), [c.tolist() for c in cands], h_main.tolist()
             )
-            np.testing.assert_allclose(context, exp_context, atol=1e-10)
-            np.testing.assert_allclose(weights, exp_weights, atol=1e-10)
+            np.testing.assert_allclose(context[0], exp_context, atol=1e-10)
+            np.testing.assert_allclose(weights[0], exp_weights, atol=1e-10)
 
             # full teacher-forced document pass, every variant
             for variant in sorted(VARIANTS):

@@ -22,6 +22,18 @@ def make_attention(attr_dim, hidden_dim, seed=0, zero=False):
     return store, att
 
 
+def attend_one(att, vectors, h_prev):
+    """`attend` for one row: its context, weights and the cache."""
+    context, weights, cache = att.attend([vectors], h_prev[None])
+    return context[0], weights[0], cache
+
+
+def backward_one(att, cache, dcontext):
+    """`backward` for one row: its candidate gradients, dh_prev and u."""
+    dvectors, dh_prev, u = att.backward(cache, dcontext[None])
+    return dvectors[0], dh_prev[0], u[0]
+
+
 def make_encoder(d=4, dt=3, vocab=6, seed=0, zero=False):
     store = ParamStore()
     rng = np.random.default_rng(seed)
@@ -36,30 +48,47 @@ def make_encoder(d=4, dt=3, vocab=6, seed=0, zero=False):
 class TestEncodeTitle:
     def test_single_word_title(self):
         store, cell, E = make_encoder()
-        enc = encode_title(cell, (2,), E)
-        assert len(enc) == 1
-        assert enc.states.shape == (1, 3)
+        enc = encode_title(cell, [(2,)], E)
+        assert len(enc.states) == 1
+        assert enc.states[0].shape == (1, 3)
         np.testing.assert_array_equal(enc.last, enc.states[0])
 
     def test_zero_weights_give_zero_states(self):
         store, cell, E = make_encoder(zero=True)
-        enc = encode_title(cell, (1, 2, 3), E)
-        for state in enc.states:
+        enc = encode_title(cell, [(1, 2, 3)], E)
+        for state in enc.states[0]:
             np.testing.assert_allclose(state, 0.0, atol=1e-15)
 
     def test_composition_equals_chained_steps(self):
         store, cell, E = make_encoder(seed=5)
         ids = (1, 4, 2)
-        enc = encode_title(cell, ids, E)
+        enc = encode_title(cell, [ids], E)
         h = np.zeros(3)
-        for token_id, state in zip(ids, enc.states):
+        for token_id, state in zip(ids, enc.states[0]):
             h, _ = cell.step(E[token_id], h)
             np.testing.assert_allclose(state, h, atol=1e-12)
 
     def test_empty_title_rejected(self):
         store, cell, E = make_encoder()
         with pytest.raises(ValueError, match="empty title"):
-            encode_title(cell, (), E)
+            encode_title(cell, [(1, 2), ()], E)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_equals_each_title_alone(self, seed):
+        # titles of unequal lengths, not given longest first: each keeps its
+        # own states, and the encoder steps the running titles as a prefix
+        store, cell, E = make_encoder(seed=seed)
+        titles = [(1, 4, 2), (5,), (2, 3, 1, 4, 5), (3, 3, 1)]
+        enc = encode_title(cell, titles, E)
+        assert list(enc.rows) == [1, 3, 0, 2]
+        assert [len(cache.w) for cache in enc.caches] == [4, 3, 3, 1, 1]
+        for i, title in enumerate(titles):
+            alone = encode_title(cell, [title], E)
+            assert enc.states[i].shape == (len(title), 3)
+            np.testing.assert_allclose(enc.states[i], alone.states[0], rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(enc.padded[enc.rows[i], : len(title)], enc.states[i])
+            np.testing.assert_array_equal(enc.token_ids[enc.rows[i], : len(title)], title)
+        np.testing.assert_array_equal(enc.last, [states[-1] for states in enc.states])
 
 
 class TestTitleContext:
@@ -67,7 +96,7 @@ class TestTitleContext:
         store, att = make_attention(3, 5, seed=1)
         rng = np.random.default_rng(1)
         state = rng.uniform(-1, 1, 3)
-        context, weights, _ = att.attend(state[None, :], rng.uniform(-1, 1, 5))
+        context, weights, _ = attend_one(att, state[None, :], rng.uniform(-1, 1, 5))
         np.testing.assert_allclose(weights, [1.0], atol=1e-15)
         np.testing.assert_allclose(context, state, atol=1e-15)
 
@@ -75,7 +104,7 @@ class TestTitleContext:
         store, att = make_attention(3, 5, zero=True)
         rng = np.random.default_rng(2)
         states = rng.uniform(-1, 1, (4, 3))
-        context, weights, _ = att.attend(states, rng.uniform(-1, 1, 5))
+        context, weights, _ = attend_one(att, states, rng.uniform(-1, 1, 5))
         np.testing.assert_allclose(weights, 0.25, atol=1e-15)
         np.testing.assert_allclose(context, np.mean(states, axis=0), atol=1e-12)
 
@@ -85,7 +114,7 @@ class TestTitleContext:
         rng = np.random.default_rng(200 + seed)
         states = rng.uniform(-1, 1, (3, 4))
         h_prev = rng.uniform(-1, 1, 5)
-        context, weights, _ = att.attend(states, h_prev)
+        context, weights, _ = attend_one(att, states, h_prev)
         exp_context, exp_weights = oracles.scalar_attention(
             att.M.value.tolist(), [s.tolist() for s in states], h_prev.tolist()
         )
@@ -95,14 +124,14 @@ class TestTitleContext:
     def test_empty_candidates_rejected(self):
         store, att = make_attention(3, 4)
         with pytest.raises(ValueError, match="empty candidate"):
-            att.attend(np.zeros((0, 3)), np.zeros(4))
+            attend_one(att, np.zeros((0, 3)), np.zeros(4))
 
     def test_weights_are_distribution(self):
         store, att = make_attention(3, 4, seed=3)
         rng = np.random.default_rng(3)
         for _ in range(25):
             vectors = rng.uniform(-2, 2, (rng.integers(1, 6), 3))
-            _, weights, _ = att.attend(vectors, rng.uniform(-2, 2, 4))
+            _, weights, _ = attend_one(att, vectors, rng.uniform(-2, 2, 4))
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) <= 1e-9
 
@@ -116,9 +145,9 @@ class TestTitleContext:
         rng = np.random.default_rng(6)
         vectors = rng.uniform(-1, 1, (4, 3))
         h_prev = rng.uniform(-1, 1, 4)
-        context, weights, _ = att.attend(vectors, h_prev)
+        context, weights, _ = attend_one(att, vectors, h_prev)
         perm = [2, 0, 3, 1]
-        context_p, weights_p, _ = att.attend(vectors[perm], h_prev)
+        context_p, weights_p, _ = attend_one(att, vectors[perm], h_prev)
         np.testing.assert_allclose(context_p, context, atol=1e-12)
         np.testing.assert_allclose(weights_p, weights[perm], atol=1e-12)
 
@@ -134,12 +163,12 @@ class TestBackward:
         upstream = rng.uniform(-1, 1, attr_dim)
 
         def f(store):
-            context, _, _ = att.attend(np.stack([v.value for v in holders]), h_holder.value)
+            context, _, _ = attend_one(att, np.stack([v.value for v in holders]), h_holder.value)
             return float(context @ upstream)
 
         store.zero_grads()
-        context, _, cache = att.attend(np.stack([v.value for v in holders]), h_holder.value)
-        dvectors, dh, u = att.backward(cache, upstream)
+        context, _, cache = attend_one(att, np.stack([v.value for v in holders]), h_holder.value)
+        dvectors, dh, u = backward_one(att, cache, upstream)
         att.add_weight_grads([cache], [u])
         for v, dv in zip(holders, dvectors):
             v.grad += dv
@@ -162,8 +191,8 @@ class TestBackward:
         store, att = make_attention(3, 4, seed=8)
         rng = np.random.default_rng(8)
         vectors = rng.uniform(-1, 1, (3, 3))
-        _, _, cache = att.attend(vectors, rng.uniform(-1, 1, 4))
-        dvectors, dh, u = att.backward(cache, np.zeros(3))
+        _, _, cache = attend_one(att, vectors, rng.uniform(-1, 1, 4))
+        dvectors, dh, u = backward_one(att, cache, np.zeros(3))
         att.add_weight_grads([cache], [u])
         assert not dh.any() and not att.M.grad.any()
         assert dvectors.shape == (3, 3) and not dvectors.any()
@@ -173,13 +202,13 @@ class TestStackedCandidates:
     def test_single_word_title(self):
         store, cell, E = make_encoder(d=4, dt=3, seed=11)
         att_store, att = make_attention(3, 5, seed=11)
-        enc = encode_title(cell, (2,), E)
+        enc = encode_title(cell, [(2,)], E)
         rng = np.random.default_rng(11)
-        context, weights, cache = att.attend(enc.states, rng.uniform(-1, 1, 5))
+        context, weights, cache = attend_one(att, enc.states[0], rng.uniform(-1, 1, 5))
         np.testing.assert_array_equal(weights, [1.0])
-        np.testing.assert_allclose(context, enc.last, atol=1e-15)
+        np.testing.assert_allclose(context, enc.last[0], atol=1e-15)
         upstream = rng.uniform(-1, 1, 3)
-        dvectors, dh, u = att.backward(cache, upstream)
+        dvectors, dh, u = backward_one(att, cache, upstream)
         att.add_weight_grads([cache], [u])
         # one candidate: the softmax is constant, so only the weighted sum passes gradient
         np.testing.assert_allclose(dvectors, upstream[None, :], atol=1e-15)
@@ -193,15 +222,34 @@ class TestStackedCandidates:
         h_prev = rng.uniform(-1, 1, 4)
         upstream = rng.uniform(-1, 1, 3)
         perm = rng.permutation(5)
-        context, weights, cache = att.attend(vectors, h_prev)
-        dvectors, dh, u = att.backward(cache, upstream)
-        context_p, weights_p, cache_p = att.attend(vectors[perm], h_prev)
-        dvectors_p, dh_p, u_p = att.backward(cache_p, upstream)
+        context, weights, cache = attend_one(att, vectors, h_prev)
+        dvectors, dh, u = backward_one(att, cache, upstream)
+        context_p, weights_p, cache_p = attend_one(att, vectors[perm], h_prev)
+        dvectors_p, dh_p, u_p = backward_one(att, cache_p, upstream)
         np.testing.assert_allclose(context_p, context, atol=1e-12)
         np.testing.assert_allclose(weights_p, weights[perm], atol=1e-12)
         np.testing.assert_allclose(dvectors_p, dvectors[perm], atol=1e-12)
         np.testing.assert_allclose(dh_p, dh, atol=1e-12)
         np.testing.assert_allclose(u_p, u, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_attend_their_own_candidates(self, seed):
+        # three rows with 4, 1 and 6 candidates: each row equals that row alone
+        store, att = make_attention(3, 4, seed=seed)
+        rng = np.random.default_rng(900 + seed)
+        vectors = [rng.uniform(-1, 1, (n, 3)) for n in (4, 1, 6)]
+        h_prev = rng.uniform(-1, 1, (3, 4))
+        upstream = rng.uniform(-1, 1, (3, 3))
+        context, weights, cache = att.attend(vectors, h_prev)
+        dvectors, dh, u = att.backward(cache, upstream)
+        for i in range(3):
+            context_i, weights_i, cache_i = attend_one(att, vectors[i], h_prev[i])
+            dvectors_i, dh_i, u_i = backward_one(att, cache_i, upstream[i])
+            np.testing.assert_allclose(context[i], context_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights[i], weights_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dvectors[i], dvectors_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dh[i], dh_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(u[i], u_i, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_backward_over_steps_matches_per_step_oracle(self, seed):
@@ -211,8 +259,8 @@ class TestStackedCandidates:
         caches, us, dvectors, dhs = [], [], [], []
         upstreams = rng.uniform(-1, 1, (4, 3))
         for upstream in upstreams:
-            _, _, cache = att.attend(vectors, rng.uniform(-1, 1, 4))
-            dv, dh, u = att.backward(cache, upstream)
+            _, _, cache = attend_one(att, vectors, rng.uniform(-1, 1, 4))
+            dv, dh, u = backward_one(att, cache, upstream)
             caches.append(cache)
             us.append(u)
             dvectors.append(dv)
@@ -221,7 +269,7 @@ class TestStackedCandidates:
         stacked = att.M.grad.copy()
         att.M.grad[...] = 0.0
         for cache, upstream, dv, dh in zip(caches, upstreams, dvectors, dhs):
-            dv_ref, dh_ref = oracles.attention_backward_per_step(att, cache, upstream)
+            dv_ref, dh_ref = oracles.attention_backward_per_step(att, oracles.first_row(cache), upstream)
             np.testing.assert_allclose(dv, dv_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dh, dh_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked, att.M.grad, rtol=0, atol=1e-12)

@@ -337,8 +337,8 @@ class TestOneRecurrence:
             hs = [state.h0 for state in streams]
             divergences = []
             for x_id in [PAD_ID] + ids[:-1]:
-                steps = [model.step(x_id, h, state) for h, state in zip(hs, streams)]
-                p, q = (softmax(model.Wout.value @ s.h + model.bout.value) for s in steps)
+                steps = [model.step([x_id], h, state) for h, state in zip(hs, streams)]
+                p, q = (softmax(model.Wout.value @ s.h[0] + model.bout.value) for s in steps)
                 divergences.append(js_divergence(p, q))
                 hs = [s.h for s in steps]
             assert out.divergence == float(np.mean(divergences))

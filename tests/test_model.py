@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from samlm.corpus import EOS_ID, IndexedDocument
+from samlm.corpus import EOS_ID, PAD_ID, IndexedDocument
 from samlm.model import VARIANTS, ModelConfig, build, load_model, save_model
 from samlm.tensor import grad_check
 
@@ -227,11 +227,11 @@ class TestForward:
         from samlm.corpus import PAD_ID
         from samlm.tensor import concat, softmax
 
-        enc = encode_title(model.title_cell, doc.title_ids, model.E.value)
+        enc = encode_title(model.title_cell, [doc.title_ids], model.E.value)
         h = np.zeros(model.config.d)
         total = 0.0
         for x, target in zip((PAD_ID,) + doc.text_ids[:-1], doc.text_ids):
-            w = concat(model.E.value[x], enc.states[0])
+            w = concat(model.E.value[x], enc.states[0][0])
             h, _ = model.main_cell.step(w, h)
             probs = softmax(model.Wout.value @ h + model.bout.value)
             total -= np.log(probs[target])
@@ -261,7 +261,7 @@ class TestBackward:
             probs, dwout, dbout = oracles.scalar_output_layer(
                 model.Wout.value.tolist(),
                 model.bout.value.tolist(),
-                [step.h.tolist() for step in fwd.caches],
+                [step.h[0].tolist() for step in fwd.caches],
                 DOC.text_ids,
             )
             np.testing.assert_allclose(fwd.probs, probs, rtol=0, atol=1e-12)
@@ -306,3 +306,61 @@ class TestBackward:
         fwd = model.forward_document(DOC, want_caches=False)
         with pytest.raises(ValueError, match="caches"):
             model.backward_document(fwd)
+
+
+# unequal text and title lengths, not given longest first, with one-target documents
+BATCH = [
+    IndexedDocument(id="b0", text_ids=(3, 5, 4, 8, EOS_ID), title_ids=(4, 6, 8), author_id=1, category_id=0),
+    IndexedDocument(id="b1", text_ids=(EOS_ID,), title_ids=(5, 3, 7, 4, 6), author_id=0, category_id=1),
+    IndexedDocument(id="b2", text_ids=(6, 3, 7, 8, 5, 4, 3, EOS_ID), title_ids=(7,), author_id=1, category_id=1),
+    IndexedDocument(id="b3", text_ids=(4,), title_ids=(3, 8), author_id=0, category_id=0),
+    IndexedDocument(id="b4", text_ids=(8, 7, 6, 5, 4, EOS_ID), title_ids=(6, 5, 4, 3), author_id=1, category_id=0),
+]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_batch_matches_per_document_reference(self, variant, size):
+        model = tiny_model(variant, seed=2, d=5, d_tilde=4, vocab_size=9)
+        docs = BATCH[:size]
+        model.store.zero_grads()
+        fwd = model.forward_document(docs, want_trace=False)
+        model.backward_document(fwd)
+        batched = {p.name: p.grad.copy() for p in model.store.params()}
+        model.store.zero_grads()
+        per_word = []
+        for doc in docs:
+            one = model.forward_document(doc, want_trace=False)
+            oracles.reference_backward_document(model, one)
+            per_word += one.per_word_nll
+        np.testing.assert_allclose(fwd.per_word_nll, per_word, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fwd.total_nll, sum(per_word), rtol=0, atol=1e-10)
+        for p in model.store.params():
+            assert p.grad.any(), p.name
+            err = np.abs(batched[p.name] - p.grad).max() / np.abs(p.grad).max()
+            assert err <= 1e-12, (p.name, err)
+
+    def test_one_row_batch_is_the_document(self):
+        model = tiny_model("SAM-Title-State-Au-Att", seed=4)
+        alone = model.forward_document(DOC, want_trace=False)
+        batch = model.forward_document([DOC], want_trace=False)
+        assert batch.per_word_nll == alone.per_word_nll
+        assert batch.probs.tobytes() == alone.probs.tobytes()
+
+    def test_rows_run_longest_first_as_a_shrinking_prefix(self):
+        fwd = tiny_model("SAM-Title-Au-Att", seed=1, vocab_size=9).forward_document(BATCH, want_trace=False)
+        assert [len(step.x_ids) for step in fwd.caches] == [5, 3, 3, 3, 3, 2, 1, 1]
+        assert list(fwd.caches[0].x_ids) == [PAD_ID] * 5
+        assert list(fwd.caches[1].x_ids) == [6, 8, 3]
+        assert list(fwd.targets[:5]) == [6, 8, 3, EOS_ID, 4]
+        assert len(fwd.hidden) == len(fwd.per_word_nll) == sum(len(doc.text_ids) for doc in BATCH)
+
+    def test_trace_of_a_batch_rejected(self):
+        with pytest.raises(ValueError, match="one document"):
+            tiny_model("SAM-Title-Att").forward_document(BATCH[:2])
+
+    def test_batch_names_the_document_without_targets(self):
+        empty = IndexedDocument(id="empty", text_ids=(), title_ids=(4,))
+        with pytest.raises(ValueError, match="empty has no tokens"):
+            tiny_model("RNN").forward_document([DOC, empty], want_trace=False)

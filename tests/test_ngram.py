@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,14 +177,28 @@ class TestPersistence:
             w = int(rng.integers(0, len(vocab)))
             assert loaded.prob(ctx, w) == model.prob(ctx, w)
 
-    @pytest.mark.parametrize("bad_line", ["2\t5\t3\n", "0\t\t5\t3\n", "3\t4 5\t6\t1\n"])
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "2\t5\t3\n",  # context too short for its order
+            "0\t\t5\t3\n",  # order 0
+            "3\t4 5\t6\t1\n",  # order above the model's
+            "\n",  # blank
+            "7\n",  # one field
+            "2\t3\tx\t1\n",  # a field that is no integer
+            "2\t3\t4\t0\n",  # count below 1
+            "2\t3\t4\t-3\n",
+            "2\t3\t5\t1\n",  # token id past the vocabulary (5 entries)
+            "2\t-1\t4\t1\n",
+        ],
+    )
     def test_malformed_count_line_names_its_number(self, tmp_path, bad_line):
         vocab, attrs, docs = indexed_corpus(["a b a", "b a b"])
         path = tmp_path / "kn2.counts"
         KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab)).save(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2] + [bad_line] + lines[2:]))
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed count line 3$"):
             KneserNeyModel.load(path)
 
     def test_file_is_sorted_text_with_header(self, tmp_path):

@@ -53,6 +53,32 @@ class TestAdam:
         adam.step()
         assert p.grad[0] == 0.0
 
+    def test_steps_bit_identical_to_expression_form(self):
+        # gradients over eight orders of magnitude, tensors of three shapes
+        rng = np.random.default_rng(3)
+        shapes = {"E": (11, 3), "W": (7, 5), "b": (5,)}
+        stores = []
+        for _ in range(2):
+            store = ParamStore()
+            for name, shape in shapes.items():
+                store.add(name, shape, rng=np.random.default_rng(len(name)))
+            stores.append(store)
+        adam = Adam(stores[0], lr=0.01)
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 6):
+            for name, shape in shapes.items():
+                grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                stores[0][name].grad[...] = grad
+                stores[1][name].grad[...] = grad
+            adam.step()
+            oracles.adam_expression_step(stores[1], m, v, t, lr=0.01)
+            for name in shapes:
+                assert stores[0][name].value.tobytes() == stores[1][name].value.tobytes(), (t, name)
+                assert adam.m[name].tobytes() == m[name].tobytes(), (t, name)
+                assert adam.v[name].tobytes() == v[name].tobytes(), (t, name)
+                assert not stores[0][name].grad.any()
+
     def test_non_finite_gradient_names_tensor(self):
         store, p = self._scalar_store(1.0)
         adam = Adam(store, lr=0.01)
