@@ -87,14 +87,15 @@ class BilinearAttention:
         non-empty (n_i x d_attr) candidate array per row and `h_prev` the rows'
         states (k x d). The projection M h is one product over the rows.
         Returns the contexts (k x d_attr), each row's weights, and the cache."""
-        if not all(map(len, vectors)):
-            raise ValueError("attention over an empty candidate set")
         mh = np.dot(h_prev, self.M.value.T)  # np.dot, as in GruCell.step
-        weights, context = [], []
-        for v, m in zip(vectors, mh):
-            weights.append(softmax(v @ m))
-            context.append(weights[-1] @ v)
-        return np.array(context), weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
+        context = np.empty((len(mh), len(self.M.value)))
+        weights = []
+        for v, m, c in zip(vectors, mh, context):
+            if not len(v):
+                raise ValueError("attention over an empty candidate set")
+            weights.append(softmax(np.dot(v, m)))
+            np.dot(weights[-1], v, out=c)
+        return context, weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
 
     def backward(
         self, cache: AttentionCache, dcontext: np.ndarray

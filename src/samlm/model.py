@@ -6,8 +6,8 @@ rows), fuses candidates with attribute attention when there is more than one,
 concatenates the fused context onto the word embedding, and steps the main
 GRU. A batch of documents steps in lockstep, one row per document. An affine
 softmax layer scores the next word from each hidden state; it never feeds
-back into the recurrence, so teacher forcing applies it once to the stacked
-states of a whole batch and decoding once per stepped state.
+back into the recurrence, so teacher forcing applies it once to each
+document's stacked states and decoding once per stepped state.
 
 Conventions the whole package relies on:
   - the first prediction conditions on the PAD embedding standing in for a
@@ -125,6 +125,7 @@ class BatchState:
     mean_emb: np.ndarray | None = None
     author_ids: np.ndarray | None = None
     category_ids: np.ndarray | None = None
+    attributes: np.ndarray | None = None  # author/category rows, B x n x d_tilde
 
 
 @dataclass
@@ -149,9 +150,12 @@ class DocForward:
     The rows of `state` are the documents sorted longest first, so the rows
     still running at any step are a prefix. `total_nll` sums every target;
     `per_word_nll` lists the targets' NLLs document by document, in the order
-    the documents were given. With caches it also holds the step records and
-    every target, hidden state (N x d) and next-word distribution (N x V),
-    stacked step by step, each step's rows in order.
+    the documents were given. With caches it also holds the step records,
+    every target and hidden state (N x d) stacked step by step, each step's
+    rows in order, and the output layer's part of the backward pass: the
+    summed NLL's gradient w.r.t. each hidden state (N x d), Wout and bout.
+    The output layer forms those one document at a time, so no array of the
+    pass outgrows one document's targets x V.
     """
 
     state: BatchState
@@ -161,7 +165,9 @@ class DocForward:
     caches: list[StepRecord] = field(default_factory=list)
     targets: np.ndarray | None = None
     hidden: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    dhidden: np.ndarray | None = None
+    dWout: np.ndarray | None = None
+    dbout: np.ndarray | None = None
 
 
 class SamModel:
@@ -227,10 +233,15 @@ class SamModel:
         state = BatchState(h0=np.zeros((len(docs), self.config.d)))
         if spec.needs_title:
             state.title_ids = [tuple(doc.title_ids) for doc in docs]
+        attributes = []
         if spec.author:
             state.author_ids = np.array([doc.author_id for doc in docs])
+            attributes.append(self.author_table.value[state.author_ids])
         if spec.category:
             state.category_ids = np.array([doc.category_id for doc in docs])
+            attributes.append(self.category_table.value[state.category_ids])
+        if attributes:
+            state.attributes = np.stack(attributes, axis=1)
         if spec.needs_title_encoder:
             state.enc = encode_title(self.title_cell, state.title_ids, self.E.value)
         if spec.state_init:
@@ -245,30 +256,25 @@ class SamModel:
         from their states h_prev (k x d); no output layer."""
         spec = self.variant
         k = len(x_ids)
-        x_emb = self.E.value[x_ids]
-        alpha = beta = None
+        x_emb = self.E.value.take(x_ids, axis=0)
+        context = alpha = beta = None
         t_cache = a_cache = None
 
-        candidates: list[np.ndarray] = []
-        if spec.title_attention:
-            c_title, alpha, t_cache = self.title_att.attend(state.enc.states[:k], h_prev)
-            candidates.append(c_title)
-        if spec.author:
-            candidates.append(self.author_table.value[state.author_ids[:k]])
-        if spec.category:
-            candidates.append(self.category_table.value[state.category_ids[:k]])
-
         if spec.bow:
-            w = tensor.concat(x_emb, state.bow_vec[:k])
-        elif len(candidates) == 1:
+            context = state.bow_vec[:k]
+        elif spec.title_attention:
+            context, alpha, t_cache = self.title_att.attend(state.enc.states[:k], h_prev)
+        if self.attr_att is not None:
+            candidates = state.attributes[:k]
+            if spec.title_attention:
+                candidates = np.concatenate((context[:, None], candidates), axis=1)
+            context, beta, a_cache = self.attr_att.attend(candidates, h_prev)
+        elif spec.candidate_names:
             # single attribute: attention over one candidate is the identity
             beta = np.ones((k, 1))
-            w = tensor.concat(x_emb, candidates[0])
-        elif candidates:
-            context, beta, a_cache = self.attr_att.attend(np.array(candidates).swapaxes(0, 1), h_prev)
-            w = tensor.concat(x_emb, context)
-        else:
-            w = x_emb
+            if context is None:
+                context = state.attributes[:k, 0]
+        w = x_emb if context is None else tensor.concat(x_emb, context)
 
         h, g_cache = self.main_cell.step(w, h_prev)
         return StepRecord(x_ids, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
@@ -321,7 +327,7 @@ class SamModel:
         The documents run in lockstep as rows sorted longest first, and a row
         drops out when its document ends, so every step is one product per
         weight over the rows still running. The output layer then scores
-        every target of the batch in one product. A trace covers one document.
+        each document's targets in one product. A trace covers one document.
         """
         docs = [docs] if isinstance(docs, IndexedDocument) else list(docs)
         for doc in docs:
@@ -337,28 +343,45 @@ class SamModel:
         for row, i in enumerate(order):
             grid[: lengths[row], row] = docs[i].text_ids
         rows_at = running.sum(axis=1).tolist()  # rows still running at each step
+        # the input of step t + 1: step t's targets of the rows still running then
+        feeds = iter([grid[t, : rows_at[t + 1]] for t in range(len(rows_at) - 1)] + [None])
         steps: list[StepRecord] = []
 
         def teacher(new: list[StepRecord]) -> np.ndarray | None:
             steps.append(new[0])
-            t = len(steps)
-            return grid[t - 1, : rows_at[t]] if t < len(rows_at) else None
+            return next(feeds)
 
         trace = self.unroll([state], teacher, want_trace)
-        targets = grid[running]
         hidden = np.concatenate([s.h for s in steps])
-        shifted = self.output(hidden)
-        shifted -= shifted.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        sums = exps.sum(axis=1)
-        nlls = np.log(sums) - shifted[np.arange(len(targets)), targets]
-        position = np.zeros(running.shape, dtype=np.intp)
-        position[running] = np.arange(len(targets))
-        per_word = np.concatenate([nlls[position[: lengths[row], row]] for row in np.argsort(order)])
-        fwd = DocForward(state, float(nlls.sum()), per_word.tolist(), trace)
+        position = np.zeros(running.shape, dtype=np.intp)  # (step, row) -> index in hidden
+        position[running] = np.arange(len(hidden))
+        fwd = DocForward(state, 0.0, [], trace)
         if want_caches:
-            exps /= sums[:, None]
-            fwd.caches, fwd.targets, fwd.hidden, fwd.probs = steps, targets, hidden, exps
+            fwd.caches, fwd.targets, fwd.hidden = steps, grid[running], hidden
+            fwd.dhidden = np.empty_like(hidden)
+        per_word = []
+        for doc, row in zip(docs, np.argsort(order)):
+            at = position[: lengths[row], row]
+            h = hidden[at]
+            targets = np.arange(len(at)), doc.text_ids
+            shifted = self.output(h)
+            shifted -= shifted.max(axis=1, keepdims=True)
+            target_logits = shifted[targets]
+            exps = np.exp(shifted, out=shifted)
+            sums = exps.sum(axis=1)
+            per_word.append(np.log(sums) - target_logits)
+            if want_caches:
+                dlogits = exps
+                dlogits /= sums[:, None]
+                dlogits[targets] -= 1.0
+                if fwd.dWout is None:
+                    fwd.dWout, fwd.dbout = dlogits.T @ h, dlogits.sum(axis=0)
+                else:
+                    fwd.dWout += dlogits.T @ h
+                    fwd.dbout += dlogits.sum(axis=0)
+                fwd.dhidden[at] = dlogits @ self.Wout.value
+        per_word = np.concatenate(per_word)
+        fwd.total_nll, fwd.per_word_nll = float(per_word.sum()), per_word.tolist()
         return fwd
 
     def document_nll(self, doc: IndexedDocument) -> tuple[float, int]:
@@ -384,11 +407,9 @@ class SamModel:
             raise ValueError("backward needs the caches of a full forward pass")
         d = self.config.d
 
-        dlogits = fwd.probs.copy()
-        dlogits[np.arange(len(fwd.targets)), fwd.targets] -= 1.0
-        self.Wout.grad += dlogits.T @ fwd.hidden
-        self.bout.grad += dlogits.sum(axis=0)
-        dhidden = dlogits @ self.Wout.value
+        self.Wout.grad += fwd.dWout
+        self.bout.grad += fwd.dbout
+        dhidden = fwd.dhidden
 
         enc = state.enc
         d_states = np.zeros_like(enc.padded) if enc is not None else None

@@ -220,7 +220,9 @@ def reference_backward_document(model, fwd):
     d = model.config.d
     enc = state.enc
 
-    dlogits = fwd.probs.copy()
+    logits = fwd.hidden @ model.Wout.value.T + model.bout.value
+    dlogits = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits /= dlogits.sum(axis=1, keepdims=True)
     dlogits[np.arange(len(targets)), targets] -= 1.0
     model.Wout.grad += dlogits.T @ fwd.hidden
     model.bout.grad += dlogits.sum(axis=0)

@@ -159,16 +159,23 @@ class TestForward:
             np.testing.assert_allclose(fwd.per_word_nll, per_word, atol=1e-10)
 
     def test_probabilities_sum_to_one_each_step(self):
+        # the pass keeps no distributions; its output-layer gradients are
+        # those of softmax(Wout h + bout) - onehot(target) at every step
         model = tiny_model("SAM-Title-Au-Att", seed=3)
         fwd = model.forward_document(DOC)
-        assert fwd.probs.shape == (len(DOC.text_ids), TINY["vocab_size"])
-        for row, target, nll in zip(fwd.probs, DOC.text_ids, fwd.per_word_nll):
+        logits = model.output(fwd.hidden)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        for row, target, nll in zip(probs, DOC.text_ids, fwd.per_word_nll):
             assert abs(row.sum() - 1.0) <= 1e-12
             assert abs(-np.log(row[target]) - nll) <= 1e-12
+        dlogits = probs - np.eye(TINY["vocab_size"])[list(DOC.text_ids)]
+        np.testing.assert_allclose(fwd.dbout, dlogits.sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fwd.dWout, dlogits.T @ fwd.hidden, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fwd.dhidden, dlogits @ model.Wout.value, rtol=0, atol=1e-12)
 
     def test_no_caches_keeps_no_per_token_arrays(self):
         fwd = tiny_model("SAM-Title-Au-Att", seed=3).forward_document(DOC, want_caches=False)
-        assert fwd.caches == [] and fwd.hidden is None and fwd.probs is None
+        assert fwd.caches == [] and fwd.hidden is None and fwd.dhidden is None and fwd.dWout is None
 
     def test_rnn_ignores_attributes(self):
         model = tiny_model("RNN", seed=2)
@@ -264,7 +271,8 @@ class TestBackward:
                 [step.h[0].tolist() for step in fwd.caches],
                 DOC.text_ids,
             )
-            np.testing.assert_allclose(fwd.probs, probs, rtol=0, atol=1e-12)
+            nlls = [-np.log(p[t]) for p, t in zip(probs, DOC.text_ids)]
+            np.testing.assert_allclose(fwd.per_word_nll, nlls, rtol=0, atol=1e-12)
             np.testing.assert_allclose(model.Wout.grad, dwout, rtol=0, atol=1e-12)
             np.testing.assert_allclose(model.bout.grad, dbout, rtol=0, atol=1e-12)
 
@@ -346,7 +354,8 @@ class TestBatch:
         alone = model.forward_document(DOC, want_trace=False)
         batch = model.forward_document([DOC], want_trace=False)
         assert batch.per_word_nll == alone.per_word_nll
-        assert batch.probs.tobytes() == alone.probs.tobytes()
+        for name in ("dhidden", "dWout", "dbout"):
+            assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_rows_run_longest_first_as_a_shrinking_prefix(self):
         fwd = tiny_model("SAM-Title-Au-Att", seed=1, vocab_size=9).forward_document(BATCH, want_trace=False)

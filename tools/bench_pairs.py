@@ -4,7 +4,7 @@ optional control tree (a second copy of the base).
     python3 tools/bench_pairs.py --base ../parent --change . --control ../parent-copy \
         --workload long-title --seeds 1-10 --parent-label 9ebece8 --out BENCH_15.json
 
-Each tree is a samlm source checkout. For every workload, pass and seed the
+Each tree is a samlm source checkout. For every workload and seed the
 script runs `python3 perfbench/run.py --workload W --seed S --seconds 60
 --trace 0` once in each tree, one run at a time, and rotates which tree goes
 first from one seed to the next, so that a drift of the machine's speed falls
@@ -13,16 +13,17 @@ read apart on this machine at this time.
 
 The output keeps the layout of BENCH_7.json: per workload and end-to-end
 metric, q1, median and q3 of each side's runs, the change's median over the
-base's, and the pairs (same workload, seed and pass) in which the change
-read better than the base; `per_seed_runs` lists every run's figure. The file
-is rewritten after every pair, so an interrupted invocation keeps the pairs it
-finished.
+base's, and the pairs (same workload and seed) in which the change read
+better than the base; `per_seed_runs` lists every run's figure, and `command`
+the invocation that wrote the file. The file is rewritten after every pair,
+so an interrupted invocation keeps the pairs it finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import statistics
 import subprocess
 import sys
@@ -97,12 +98,13 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
         "description": (
             f"perfbench end-to-end figures, {args.parent_label} against this change"
             + (" with a control (a second copy of the parent)" if args.control is not None else "")
-            + f", untraced (--trace 0), seeds {args.seeds}, {args.passes} pass(es) over the seeds. "
+            + f", untraced (--trace 0), seeds {args.seeds}, one run per side per seed. "
             "The trees run one at a time, the side that runs first rotating from pair to pair. Each run's "
             "figure is already a median over its rounds; q1/median/q3 are over a side's runs. change_wins "
-            "counts the pairs (same seed, same pass) in which the change read better than the parent."
+            "counts the pairs (same seed) in which the change read better than the parent."
         ),
-        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 60 --trace 0",
+        "command": shlex.join(["python3", *sys.argv]),
+        "each_run": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 60 --trace 0",
         "parent": args.parent_label,
         "environment": environment,
         "all_runs_correct_zero_failed": {
@@ -121,7 +123,6 @@ def main() -> int:
     parser.add_argument("--control", type=Path, help="a second tree of the parent commit")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--passes", type=int, default=1)
     parser.add_argument("--parent-label", default="the parent", help="how the output names the parent commit")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
@@ -134,24 +135,23 @@ def main() -> int:
     environment: dict = {}
     turn = 0
     for workload in args.workload:
-        for _ in range(args.passes):
-            for seed in seed_range(args.seeds):
-                order = list(trees)
-                order = order[turn % len(order):] + order[: turn % len(order)]
-                turn += 1
-                pair: dict = {"seed": seed}
-                for side in order:
-                    started = time.perf_counter()
-                    pair[side] = run_once(trees[side].resolve(), workload, seed)
-                    print(f"{workload} seed {seed} {side:7s} {time.perf_counter() - started:5.1f} s "
-                          f"ok={pair[side]['ok']} "
-                          + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()), flush=True)
-                environment = environment or {**pair["change"]["environment"], "note": (
-                    "perfbench/run.py pins OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
-                    "and PYTHONHASHSEED to 0; one run at a time")}
-                pairs.setdefault(workload, []).append(pair)
-                args.out.write_text(json.dumps(summarize(args, spec, pairs, environment), indent=1) + "\n",
-                                    encoding="utf-8")
+        for seed in seed_range(args.seeds):
+            order = list(trees)
+            order = order[turn % len(order):] + order[: turn % len(order)]
+            turn += 1
+            pair: dict = {"seed": seed}
+            for side in order:
+                started = time.perf_counter()
+                pair[side] = run_once(trees[side].resolve(), workload, seed)
+                print(f"{workload} seed {seed} {side:7s} {time.perf_counter() - started:5.1f} s "
+                      f"ok={pair[side]['ok']} "
+                      + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()), flush=True)
+            environment = environment or {**pair["change"]["environment"], "note": (
+                "perfbench/run.py pins OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
+                "and PYTHONHASHSEED to 0; one run at a time")}
+            pairs.setdefault(workload, []).append(pair)
+            args.out.write_text(json.dumps(summarize(args, spec, pairs, environment), indent=1) + "\n",
+                                encoding="utf-8")
     return 0
 
 
