@@ -38,6 +38,13 @@ from .corpus import IndexedDocument, PAD_ID
 from .gru import GruCache, GruCell
 from .tensor import ParamStore
 
+# Teacher forcing runs the output layer over blocks of whole documents of at
+# most this many targets x V entries (32 MiB of float64 per array), so its
+# memory does not grow with the batch; a longer document is a block alone.
+# Blocks of fewer rows make the products slower: 30 targets per block took
+# 2.5x the time of 600 in one at V = 10 000, d = 200.
+OUTPUT_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class VariantSpec:
@@ -154,8 +161,8 @@ class DocForward:
     every target and hidden state (N x d) stacked step by step, each step's
     rows in order, and the output layer's part of the backward pass: the
     summed NLL's gradient w.r.t. each hidden state (N x d), Wout and bout.
-    The output layer forms those one document at a time, so no array of the
-    pass outgrows one document's targets x V.
+    The output layer forms those one block of documents at a time
+    (`OUTPUT_BLOCK`), so no targets x V array outlives its block.
     """
 
     state: BatchState
@@ -327,7 +334,9 @@ class SamModel:
         The documents run in lockstep as rows sorted longest first, and a row
         drops out when its document ends, so every step is one product per
         weight over the rows still running. The output layer then scores
-        each document's targets in one product. A trace covers one document.
+        the targets of each block of documents in one product (one document
+        alone keeps the bits of the per-document pass). A trace covers one
+        document.
         """
         docs = [docs] if isinstance(docs, IndexedDocument) else list(docs)
         for doc in docs:
@@ -359,11 +368,19 @@ class SamModel:
         if want_caches:
             fwd.caches, fwd.targets, fwd.hidden = steps, grid[running], hidden
             fwd.dhidden = np.empty_like(hidden)
-        per_word = []
+        blocks: list[list] = [[]]  # runs of whole documents, each (doc, its rows in hidden)
+        size = 0
         for doc, row in zip(docs, np.argsort(order)):
-            at = position[: lengths[row], row]
+            if blocks[-1] and (size + lengths[row]) * self.config.vocab_size > OUTPUT_BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((doc, position[: lengths[row], row]))
+            size += lengths[row]
+        per_word = []
+        for block in blocks:
+            at = np.concatenate([rows for _, rows in block])
             h = hidden[at]
-            targets = np.arange(len(at)), doc.text_ids
+            targets = np.arange(len(at)), np.concatenate([doc.text_ids for doc, _ in block])
             shifted = self.output(h)
             shifted -= shifted.max(axis=1, keepdims=True)
             target_logits = shifted[targets]

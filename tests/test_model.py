@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from samlm import model as model_module
 from samlm.corpus import EOS_ID, PAD_ID, IndexedDocument
 from samlm.model import VARIANTS, ModelConfig, build, load_model, save_model
 from samlm.tensor import grad_check
@@ -356,6 +357,17 @@ class TestBatch:
         assert batch.per_word_nll == alone.per_word_nll
         for name in ("dhidden", "dWout", "dbout"):
             assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 6, 9])
+    def test_output_blocks_match_one_block(self, monkeypatch, block_rows):
+        # block_rows 1: every document alone; 6 and 9: runs of documents
+        model = tiny_model("SAM-Title-Au-Att", seed=3, vocab_size=9)
+        whole = model.forward_document(BATCH, want_trace=False)
+        monkeypatch.setattr(model_module, "OUTPUT_BLOCK", block_rows * 9)
+        blocked = model.forward_document(BATCH, want_trace=False)
+        np.testing.assert_allclose(blocked.per_word_nll, whole.per_word_nll, rtol=0, atol=1e-12)
+        for name in ("dhidden", "dWout", "dbout"):
+            np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name), rtol=0, atol=1e-12)
 
     def test_rows_run_longest_first_as_a_shrinking_prefix(self):
         fwd = tiny_model("SAM-Title-Au-Att", seed=1, vocab_size=9).forward_document(BATCH, want_trace=False)
