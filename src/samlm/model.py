@@ -42,7 +42,8 @@ from .tensor import ParamStore
 # most this many targets x V entries (32 MiB of float64 per array), so its
 # memory does not grow with the batch; a longer document is a block alone.
 # Blocks of fewer rows make the products slower: 30 targets per block took
-# 2.5x the time of 600 in one at V = 10 000, d = 200.
+# 2.5x the time of 600 in one at V = 10 000, d = 200 (OpenBLAS, one thread,
+# x86-64).
 OUTPUT_BLOCK = 1 << 22
 
 

@@ -2,7 +2,8 @@
 optional control tree (a second copy of the base).
 
     python3 tools/bench_pairs.py --base ../parent --change . --control ../parent-copy \
-        --workload long-title --seeds 1-10 --parent-label 9ebece8 --out BENCH_15.json
+        --workload long-title --workload paper-vocab --seeds 1-10 --parent-label 9ebece8 \
+        --out BENCH_15.json
 
 Each tree is a samlm source checkout. For every workload and seed the
 script runs `python3 perfbench/run.py --workload W --seed S --seconds 60
