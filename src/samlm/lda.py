@@ -9,11 +9,21 @@ document into its own label. That is the intended protocol, not a bug.
 
 from __future__ import annotations
 
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corpus import Document, IndexedDocument
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -25,9 +35,16 @@ class LdaConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_topics", "iterations", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "alpha" and value is None)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n_topics < 2:
             raise ValueError("n_topics must be at least 2")
-        if (self.alpha is not None and self.alpha <= 0) or self.beta <= 0:
+        if (self.alpha is not None and not self.alpha > 0) or not self.beta > 0:
             raise ValueError("alpha and beta must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
@@ -49,12 +66,22 @@ class TopicModel:
 
     def audit_counts(self) -> None:
         """Check the count tables against the raw assignments."""
-        doc_topic = np.zeros_like(self.doc_topic)
-        topic_word = np.zeros_like(self.topic_word)
-        for d, (tokens, topics) in enumerate(zip(self.doc_tokens, self.assignments)):
-            for w, k in zip(tokens, topics):
-                doc_topic[d, k] += 1
-                topic_word[k, w] += 1
+        n_docs, K = self.doc_topic.shape
+        empty = np.empty(0, dtype=np.int64)
+        tokens = np.concatenate([empty, *self.doc_tokens])
+        topics = np.concatenate([empty, *self.assignments])
+        lengths = [len(t) for t in self.doc_tokens]
+        if (
+            len(lengths) != n_docs
+            or lengths != [len(z) for z in self.assignments]
+            or not np.all((0 <= topics) & (topics < K))
+            or not np.all((0 <= tokens) & (tokens < self.vocab_size))
+        ):
+            raise AssertionError("topic assignments do not fit the count tables")
+        docs = np.repeat(np.arange(n_docs), lengths)
+        doc_topic = np.bincount(docs * K + topics, minlength=n_docs * K).reshape(n_docs, K)
+        topic_word = np.bincount(topics * self.vocab_size + tokens, minlength=K * self.vocab_size)
+        topic_word = topic_word.reshape(K, self.vocab_size)
         if not (
             np.array_equal(doc_topic, self.doc_topic)
             and np.array_equal(topic_word, self.topic_word)
@@ -69,79 +96,97 @@ def _doc_words(doc: IndexedDocument) -> np.ndarray:
 
 
 def fit(docs: list[IndexedDocument], cfg: LdaConfig, vocab_size: int) -> TopicModel:
-    """Collapsed Gibbs sampling for cfg.iterations sweeps, seeded."""
+    """Collapsed Gibbs sampling for cfg.iterations sweeps, seeded.
+
+    The counts live in Python lists (one list of K per word and per document)
+    and each token's draw is done with Python floats, because numpy's per-call
+    cost dwarfs arithmetic on K-length arrays. The arithmetic is that of the
+    array form, operation for operation: each weight is
+    (word count + beta) / (topic total + beta V) * (document count + alpha),
+    the weights are summed left to right as np.cumsum does, and the new topic
+    is the first whose running sum reaches u = uniform * total, as
+    np.searchsorted(side="left") finds it. The draws come from the same
+    generator calls, so the chain is the array form's, bit for bit.
+    """
     cfg.validate()
     if not docs:
         raise ValueError("cannot fit a topic model on an empty corpus")
     if vocab_size < 1:
         raise ValueError("empty vocabulary")
+    doc_tokens = [_doc_words(d) for d in docs]
+    for doc, tokens in zip(docs, doc_tokens):
+        if len(tokens) and not (0 <= tokens.min() and tokens.max() < vocab_size):
+            raise ValueError(f"document {doc.id}: token id outside [0, {vocab_size})")
     rng = np.random.default_rng(cfg.seed)
     K = cfg.n_topics
-    alpha = cfg.effective_alpha
-    beta = cfg.beta
+    alpha = float(cfg.effective_alpha)
+    beta = float(cfg.beta)
+    beta_total = beta * vocab_size
 
-    doc_tokens = [_doc_words(d) for d in docs]
-    n_docs = len(docs)
-    doc_topic = np.zeros((n_docs, K), dtype=np.int64)
-    topic_word = np.zeros((K, vocab_size), dtype=np.int64)
-    topic_totals = np.zeros(K, dtype=np.int64)
-    assignments: list[np.ndarray] = []
-
-    for d, tokens in enumerate(doc_tokens):
-        z = rng.integers(0, K, size=len(tokens))
+    words = [tokens.tolist() for tokens in doc_tokens]
+    word_topic = [[0] * K for _ in range(vocab_size)]  # vocab x topics
+    doc_topic = [[0] * K for _ in words]
+    totals = [0] * K
+    assignments: list[list[int]] = []
+    for tokens, counts in zip(words, doc_topic):
+        z = rng.integers(0, K, size=len(tokens)).tolist()
         assignments.append(z)
         for w, k in zip(tokens, z):
-            doc_topic[d, k] += 1
-            topic_word[k, w] += 1
-            topic_totals[k] += 1
+            counts[k] += 1
+            word_topic[w][k] += 1
+            totals[k] += 1
 
-    beta_total = beta * vocab_size
-    n_tokens = sum(len(t) for t in doc_tokens)
+    topics = range(K)
+    n_tokens = sum(len(t) for t in words)
     for _ in range(cfg.iterations):
-        for d, tokens in enumerate(doc_tokens):
-            z = assignments[d]
-            for i, w in enumerate(tokens):
+        for tokens, z, counts in zip(words, assignments, doc_topic):
+            # one uniform per token, in token order: the stream of per-token draws
+            for i, (w, u) in enumerate(zip(tokens, rng.random(len(tokens)).tolist())):
                 k = z[i]
-                doc_topic[d, k] -= 1
-                topic_word[k, w] -= 1
-                topic_totals[k] -= 1
+                tw = word_topic[w]
+                counts[k] -= 1
+                tw[k] -= 1
+                totals[k] -= 1
 
-                weights = (topic_word[:, w] + beta) / (topic_totals + beta_total)
-                weights = weights * (doc_topic[d] + alpha)
-                cumulative = np.cumsum(weights)
-                k = int(np.searchsorted(cumulative, rng.random() * cumulative[-1]))
+                running = 0.0
+                cumulative = []
+                for j in topics:
+                    running += (tw[j] + beta) / (totals[j] + beta_total) * (counts[j] + alpha)
+                    cumulative.append(running)
+                k = bisect_left(cumulative, u * running)
 
                 z[i] = k
-                doc_topic[d, k] += 1
-                topic_word[k, w] += 1
-                topic_totals[k] += 1
+                counts[k] += 1
+                tw[k] += 1
+                totals[k] += 1
         # bookkeeping invariant, checked after every sweep
         if (
-            int(topic_totals.sum()) != n_tokens
-            or not np.array_equal(doc_topic.sum(axis=1), [len(t) for t in doc_tokens])
-            or not np.array_equal(topic_word.sum(axis=1), topic_totals)
+            sum(totals) != n_tokens
+            or [sum(c) for c in doc_topic] != [len(t) for t in words]
+            or [sum(column) for column in zip(*word_topic)] != totals
         ):
             raise AssertionError("topic count tables lost consistency during sampling")
 
     return TopicModel(
         config=cfg,
         vocab_size=vocab_size,
-        doc_topic=doc_topic,
-        topic_word=topic_word,
-        topic_totals=topic_totals,
-        assignments=assignments,
+        doc_topic=np.array(doc_topic, dtype=np.int64),
+        topic_word=np.ascontiguousarray(np.array(word_topic, dtype=np.int64).T),
+        topic_totals=np.array(totals, dtype=np.int64),
+        assignments=[np.array(z, dtype=np.int64) for z in assignments],
         doc_tokens=doc_tokens,
     )
 
 
 def assign_categories(model: TopicModel) -> list[int]:
     """Largest smoothed topic weight per document; ties take the lowest index."""
-    alpha = model.config.effective_alpha
-    return [int(np.argmax(row + alpha)) for row in model.doc_topic]
+    return np.argmax(model.doc_topic + model.config.effective_alpha, axis=1).tolist()
 
 
 def top_words(model: TopicModel, k: int, vocab) -> list[list[str]]:
     """Per-topic word ranking by topic-word count, ties lexicographic."""
+    if k < 0:
+        raise ValueError(f"top-word count must be non-negative, got {k}")
     result = []
     for topic in range(model.config.n_topics):
         counts = model.topic_word[topic]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -26,13 +25,6 @@ import numpy as np
 from . import evaluate
 from .atomic import atomic_write
 from .corpus import PAD_ID, IndexedDocument
-
-
-@dataclass
-class _ContextEntry:
-    counts: dict[int, int]
-    total: int
-    distinct: int
 
 
 def _discount(table: dict[tuple[int, ...], int]) -> float:
@@ -51,8 +43,9 @@ class KneserNeyModel:
             raise ValueError("vocab_size must be positive")
         self.order = order
         self.vocab_size = vocab_size
-        # per order k (1-based): context tuple of length k-1 -> entry
-        self.tables: list[dict[tuple[int, ...], _ContextEntry]] = []
+        # per order k (1-based): context tuple of length k-1 ->
+        # ({word: count}, total count, number of distinct words)
+        self.tables: list[dict[tuple[int, ...], tuple[dict[int, int], int, int]]] = []
         self.discounts: list[float] = []
 
     def _set_counts(self, grams: list[dict[tuple[int, ...], int]]) -> None:
@@ -63,8 +56,7 @@ class KneserNeyModel:
             for gram, count in table.items():
                 by_context[gram[:-1]][gram[-1]] = count
             self.tables.append({
-                ctx: _ContextEntry(counts=words, total=sum(words.values()), distinct=len(words))
-                for ctx, words in by_context.items()
+                ctx: (words, sum(words.values()), len(words)) for ctx, words in by_context.items()
             })
             self.discounts.append(_discount(table))
 
@@ -104,12 +96,12 @@ class KneserNeyModel:
         if k == 0:
             return 1.0 / self.vocab_size
         entry = self.tables[k - 1].get(ctx)
-        if entry is None or entry.total == 0:
+        if entry is None:
             return self._prob(k - 1, ctx[1:], word)
+        counts, total, distinct = entry
         d = self.discounts[k - 1]
-        count = entry.counts.get(word, 0)
-        numerator = max(count - d, 0.0) / entry.total
-        backoff_mass = d * entry.distinct / entry.total
+        numerator = max(counts.get(word, 0) - d, 0.0) / total
+        backoff_mass = d * distinct / total
         return numerator + backoff_mass * self._prob(k - 1, ctx[1:], word)
 
     def document_nll(self, doc: IndexedDocument) -> tuple[float, int]:
@@ -139,9 +131,9 @@ class KneserNeyModel:
         with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for k, table in enumerate(self.tables, start=1):
-                for ctx, entry in sorted(table.items()):
+                for ctx, (counts, _, _) in sorted(table.items()):
                     ctx_str = " ".join(map(str, ctx))
-                    for w, count in sorted(entry.counts.items()):
+                    for w, count in sorted(counts.items()):
                         fh.write(f"{k}\t{ctx_str}\t{w}\t{count}\n")
 
     @classmethod

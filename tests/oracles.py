@@ -343,6 +343,50 @@ class KneserNeyOracle:
         return nll
 
 
+def lda_gibbs_numpy(docs, cfg, vocab_size):
+    """Collapsed-Gibbs LDA with count tables held in numpy arrays and each
+    token's draw made with array calls: the form `lda.fit` had before it
+    moved to Python lists. Same seeding and generator calls; returns
+    (assignments, doc_topic, topic_word, topic_totals)."""
+    rng = np.random.default_rng(cfg.seed)
+    K = cfg.n_topics
+    alpha = cfg.effective_alpha
+    beta = cfg.beta
+    doc_tokens = [np.array(d.text_ids[:-1], dtype=np.int64) for d in docs]
+    doc_topic = np.zeros((len(docs), K), dtype=np.int64)
+    topic_word = np.zeros((K, vocab_size), dtype=np.int64)
+    topic_totals = np.zeros(K, dtype=np.int64)
+    assignments = []
+    for d, tokens in enumerate(doc_tokens):
+        z = rng.integers(0, K, size=len(tokens))
+        assignments.append(z)
+        for w, k in zip(tokens, z):
+            doc_topic[d, k] += 1
+            topic_word[k, w] += 1
+            topic_totals[k] += 1
+
+    beta_total = beta * vocab_size
+    for _ in range(cfg.iterations):
+        for d, tokens in enumerate(doc_tokens):
+            z = assignments[d]
+            for i, w in enumerate(tokens):
+                k = z[i]
+                doc_topic[d, k] -= 1
+                topic_word[k, w] -= 1
+                topic_totals[k] -= 1
+
+                weights = (topic_word[:, w] + beta) / (topic_totals + beta_total)
+                weights = weights * (doc_topic[d] + alpha)
+                cumulative = np.cumsum(weights)
+                k = int(np.searchsorted(cumulative, rng.random() * cumulative[-1]))
+
+                z[i] = k
+                doc_topic[d, k] += 1
+                topic_word[k, w] += 1
+                topic_totals[k] += 1
+    return assignments, doc_topic, topic_word, topic_totals
+
+
 def adam_scalar(theta0, grads_of, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     """The bias-corrected update recursion on one scalar parameter."""
     theta, m, v = theta0, 0.0, 0.0

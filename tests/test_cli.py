@@ -468,6 +468,16 @@ class TestSettings:
         assert str(config) in err and "'ordr'" in err
         assert not out.exists()
 
+    def test_lda_setting_of_wrong_type_exits_two(self, corpus_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"iterations": 2.5}))
+        out = tmp_path / "out"
+        assert main(["lda-label", "--config", str(config), "--out", str(out),
+                     "--data", str(corpus_files / "train.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "iterations" in err and "2.5" in err
+        assert not (out / "labeled.jsonl").exists()
+
     @pytest.mark.parametrize("command, config, flags, shaped", [
         ("lda-label", {"topics": 3, "iterations": 2}, ["--topics", "2"],
          lambda out: len((out / "topic_words.txt").read_text().splitlines()) == 2),
