@@ -138,6 +138,7 @@ def fit(docs: list[IndexedDocument], cfg: LdaConfig, vocab_size: int) -> TopicMo
 
     topics = range(K)
     n_tokens = sum(len(t) for t in words)
+    corpus_rows = [word_topic[w] for w in set().union(*words)]  # the only rows a sweep can change
     for _ in range(cfg.iterations):
         for tokens, z, counts in zip(words, assignments, doc_topic):
             # one uniform per token, in token order: the stream of per-token draws
@@ -163,7 +164,7 @@ def fit(docs: list[IndexedDocument], cfg: LdaConfig, vocab_size: int) -> TopicMo
         if (
             sum(totals) != n_tokens
             or [sum(c) for c in doc_topic] != [len(t) for t in words]
-            or [sum(column) for column in zip(*word_topic)] != totals
+            or [sum(column) for column in zip([0] * K, *corpus_rows)] != totals
         ):
             raise AssertionError("topic count tables lost consistency during sampling")
 
