@@ -5,8 +5,10 @@ d_attr) is scored against the previous main hidden state h (dimension d) as
 v @ M @ h, the scores pass through a softmax, and the context is the weighted
 sum of candidates. Title attention runs over the title encoder states; the
 attribute attention runs over the set of attribute embeddings, one of which
-may itself be the title context. Both attend a batch of rows, each row over
-candidates of its own; nothing is padded or masked.
+may itself be the title context. Both attend a batch of rows, each over its
+own candidates stacked in one k x n x d_attr array; a title shorter than the
+batch's longest is zero-padded, and a -inf score bias gives the padding no
+weight.
 """
 
 from __future__ import annotations
@@ -24,25 +26,26 @@ from .tensor import Param, ParamStore, softmax
 @dataclass
 class TitleEncoding:
     """Encoder states of a batch of titles, each run left to right from the
-    zero state: `states[i]` is title i's (n_i x d_tilde).
+    zero state: `padded[i, p]` is title i's state at position p, zero past
+    its last position `ends[i]`, where `bias[i, p]` turns from 0 to -inf.
 
     The encoder steps the titles longest first, so the titles still running
-    at any position are a prefix of its rows; `rows[i]` is title i's row.
-    `padded` holds the states by row and position (zero past a title's end),
-    and `caches[p]` and `token_ids[:, p]` the step at position p of the rows
-    still running.
+    at any position are a prefix of its rows; `order[r]` is the title of row
+    r, and `caches[p]` and `token_ids[:, p]` the step at position p of the
+    rows still running.
     """
 
-    states: list[np.ndarray]
-    rows: np.ndarray
     padded: np.ndarray
+    bias: np.ndarray
+    ends: np.ndarray
+    order: np.ndarray
     token_ids: np.ndarray
     caches: list[GruCache]
 
     @property
     def last(self) -> np.ndarray:
         """Each title's final state, one row per title (B x d_tilde)."""
-        return np.array([states[-1] for states in self.states])
+        return self.padded[np.arange(len(self.padded)), self.ends]
 
 
 def encode_title(cell: GruCell, titles, embeddings: np.ndarray) -> TitleEncoding:
@@ -50,30 +53,30 @@ def encode_title(cell: GruCell, titles, embeddings: np.ndarray) -> TitleEncoding
     stepping every title still running in one call per position."""
     if not titles or not all(len(title) for title in titles):
         raise ValueError("cannot encode an empty title")
-    order = np.argsort([-len(title) for title in titles], kind="stable")
-    lengths = np.array([len(titles[i]) for i in order])
-    token_ids = np.zeros((len(titles), lengths[0]), dtype=np.intp)
+    lengths = np.array([len(title) for title in titles])
+    order = np.argsort(-lengths, kind="stable")
+    positions = np.arange(lengths.max())
+    token_ids = np.zeros((len(titles), len(positions)), dtype=np.intp)
     for row, i in enumerate(order):
-        token_ids[row, : lengths[row]] = titles[i]
+        token_ids[row, : lengths[i]] = titles[i]
     inputs = embeddings[token_ids]
-    padded = np.zeros((len(titles), lengths[0], cell.hidden_dim))
+    padded = np.zeros((len(titles), len(positions), cell.hidden_dim))
     h = np.zeros((len(titles), cell.hidden_dim))
     caches = []
-    for pos, k in enumerate((lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()):
+    for pos, k in enumerate((lengths[:, None] > positions).sum(axis=0).tolist()):
         h, cache = cell.step(inputs[:k, pos], h[:k])
         padded[:k, pos] = h
         caches.append(cache)
-    rows = np.argsort(order)
-    states = [padded[rows[i], : len(title)] for i, title in enumerate(titles)]
-    return TitleEncoding(states, rows, padded, token_ids, caches)
+    bias = np.where(positions < lengths[:, None], 0.0, -np.inf)
+    return TitleEncoding(padded[np.argsort(order)], bias, lengths - 1, order, token_ids, caches)
 
 
 @dataclass
 class AttentionCache:
-    vectors: list[np.ndarray]
+    vectors: np.ndarray
     h_prev: np.ndarray
     mh: np.ndarray
-    weights: list[np.ndarray]
+    weights: np.ndarray
 
 
 class BilinearAttention:
@@ -82,39 +85,36 @@ class BilinearAttention:
     def __init__(self, store: ParamStore, name: str, attr_dim: int, hidden_dim: int, rng):
         self.M: Param = store.add(name, (attr_dim, hidden_dim), rng=rng)
 
-    def attend(self, vectors, h_prev: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], AttentionCache]:
-        """Attend k rows, each over candidates of its own: `vectors` holds one
-        non-empty (n_i x d_attr) candidate array per row and `h_prev` the rows'
-        states (k x d). The projection M h is one product over the rows.
-        Returns the contexts (k x d_attr), each row's weights, and the cache."""
+    def attend(
+        self, vectors: np.ndarray, h_prev: np.ndarray, bias: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
+        """Attend k rows, each over its own n candidates: `vectors` is
+        k x n x d_attr, `h_prev` the rows' states (k x d), and the optional
+        `bias` (k x n) is added to the scores. Returns the contexts
+        (k x d_attr), the weights (k x n) and the cache; every product is one
+        stacked `np.matmul` over the rows."""
+        if not vectors.shape[1]:
+            raise ValueError("attention over an empty candidate set")
         mh = np.dot(h_prev, self.M.value.T)  # np.dot, as in GruCell.step
-        context = np.empty((len(mh), len(self.M.value)))
-        weights = []
-        for v, m, c in zip(vectors, mh, context):
-            if not len(v):
-                raise ValueError("attention over an empty candidate set")
-            weights.append(softmax(np.dot(v, m)))
-            np.dot(weights[-1], v, out=c)
+        scores = np.matmul(vectors, mh[:, :, None])[:, :, 0]
+        weights = softmax(scores if bias is None else scores + bias)
+        context = np.matmul(weights[:, None], vectors)[:, 0]
         return context, weights, AttentionCache(vectors=vectors, h_prev=h_prev, mh=mh, weights=weights)
 
-    def backward(
-        self, cache: AttentionCache, dcontext: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    def backward(self, cache: AttentionCache, dcontext: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chain rule through the weighted sum, softmax, and bilinear score,
-        row by row, given the contexts' gradients (k x d_attr).
+        given the contexts' gradients (k x d_attr).
 
-        Returns each row's candidate gradients (one row per candidate), the
-        gradient w.r.t. h_prev (k x d), and u (k x d_attr), for which M's
-        gradient is u.T @ h_prev; `add_weight_grads` forms that once for a
-        run of steps.
+        Returns the candidate gradients (k x n x d_attr, zero at a padded
+        candidate), the gradient w.r.t. h_prev (k x d), and u (k x d_attr),
+        for which M's gradient is u.T @ h_prev; `add_weight_grads` forms that
+        once for a run of steps.
         """
-        dvectors, us = [], []
-        for vectors, weights, mh, dc in zip(cache.vectors, cache.weights, cache.mh, dcontext):
-            dweights = vectors @ dc
-            dscores = weights * (dweights - weights @ dweights)
-            us.append(dscores @ vectors)
-            dvectors.append(weights[:, None] * dc + dscores[:, None] * mh)  # outer products
-        u = np.array(us)
+        vectors, weights = cache.vectors, cache.weights
+        dweights = np.matmul(vectors, dcontext[:, :, None])[:, :, 0]
+        dscores = weights * (dweights - np.matmul(weights[:, None], dweights[:, :, None])[:, 0])
+        u = np.matmul(dscores[:, None], vectors)[:, 0]
+        dvectors = weights[:, :, None] * dcontext[:, None] + dscores[:, :, None] * cache.mh[:, None]
         return dvectors, np.dot(u, self.M.value), u
 
     def add_weight_grads(self, caches: list[AttentionCache], us: list[np.ndarray]) -> None:

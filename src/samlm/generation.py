@@ -42,9 +42,12 @@ class GenResult:
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector."""
+    """Draw an index from a probability vector; an index of probability 0 is
+    never drawn. The first running sum above the draw marks the index, and a
+    draw that rounds up to the total lands on the last positive entry."""
     cumulative = np.cumsum(probs)
-    return int(min(np.searchsorted(cumulative, rng.random() * cumulative[-1]), len(probs) - 1))
+    index = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
+    return int(min(index, np.searchsorted(cumulative, cumulative[-1])))
 
 
 def masked_distribution(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

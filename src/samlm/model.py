@@ -38,9 +38,9 @@ from .corpus import IndexedDocument, PAD_ID
 from .gru import GruCache, GruCell
 from .tensor import ParamStore
 
-# Teacher forcing runs the output layer over blocks of whole documents of at
-# most this many targets x V entries (32 MiB of float64 per array), so its
-# memory does not grow with the batch; a longer document is a block alone.
+# Teacher forcing runs the output layer over blocks of OUTPUT_BLOCK // V
+# targets, taken in document order (32 MiB of float64 per targets x V array),
+# so its memory grows neither with the batch nor with a document's length.
 # Blocks of fewer rows make the products slower: 30 targets per block took
 # 2.5x the time of 600 in one at V = 10 000, d = 200 (OpenBLAS, one thread,
 # x86-64).
@@ -140,13 +140,13 @@ class BatchState:
 class StepRecord:
     """One step of the recurrence for the rows it ran: their inputs and new
     states, their attention weights over title words and over attributes
-    (one array per row), and what backpropagation needs."""
+    (one row each), and what backpropagation needs."""
 
     x_ids: np.ndarray
     h: np.ndarray
     gru: GruCache
-    alpha: list[np.ndarray] | None = None
-    beta: list[np.ndarray] | np.ndarray | None = None
+    alpha: np.ndarray | None = None
+    beta: np.ndarray | None = None
     title_att: AttentionCache | None = None
     attr_att: AttentionCache | None = None
 
@@ -162,8 +162,9 @@ class DocForward:
     every target and hidden state (N x d) stacked step by step, each step's
     rows in order, and the output layer's part of the backward pass: the
     summed NLL's gradient w.r.t. each hidden state (N x d), Wout and bout.
-    The output layer forms those one block of documents at a time
-    (`OUTPUT_BLOCK`), so no targets x V array outlives its block.
+    The output layer runs over fixed blocks of targets in document order
+    (`OUTPUT_BLOCK`), so no targets x V array outlives its block, however
+    long the document.
     """
 
     state: BatchState
@@ -271,7 +272,7 @@ class SamModel:
         if spec.bow:
             context = state.bow_vec[:k]
         elif spec.title_attention:
-            context, alpha, t_cache = self.title_att.attend(state.enc.states[:k], h_prev)
+            context, alpha, t_cache = self.title_att.attend(state.enc.padded[:k], h_prev, state.enc.bias[:k])
         if self.attr_att is not None:
             candidates = state.attributes[:k]
             if spec.title_attention:
@@ -282,7 +283,7 @@ class SamModel:
             beta = np.ones((k, 1))
             if context is None:
                 context = state.attributes[:k, 0]
-        w = x_emb if context is None else tensor.concat(x_emb, context)
+        w = x_emb if context is None else np.concatenate((x_emb, context), axis=1)
 
         h, g_cache = self.main_cell.step(w, h_prev)
         return StepRecord(x_ids, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
@@ -335,9 +336,8 @@ class SamModel:
         The documents run in lockstep as rows sorted longest first, and a row
         drops out when its document ends, so every step is one product per
         weight over the rows still running. The output layer then scores
-        the targets of each block of documents in one product (one document
-        alone keeps the bits of the per-document pass). A trace covers one
-        document.
+        each block of targets in one product (a batch within one block keeps
+        the bits of the per-document pass). A trace covers one document.
         """
         docs = [docs] if isinstance(docs, IndexedDocument) else list(docs)
         for doc in docs:
@@ -369,36 +369,29 @@ class SamModel:
         if want_caches:
             fwd.caches, fwd.targets, fwd.hidden = steps, grid[running], hidden
             fwd.dhidden = np.empty_like(hidden)
-        blocks: list[list] = [[]]  # runs of whole documents, each (doc, its rows in hidden)
-        size = 0
-        for doc, row in zip(docs, np.argsort(order)):
-            if blocks[-1] and (size + lengths[row]) * self.config.vocab_size > OUTPUT_BLOCK:
-                blocks.append([])
-                size = 0
-            blocks[-1].append((doc, position[: lengths[row], row]))
-            size += lengths[row]
-        per_word = []
-        for block in blocks:
-            at = np.concatenate([rows for _, rows in block])
-            h = hidden[at]
-            targets = np.arange(len(at)), np.concatenate([doc.text_ids for doc, _ in block])
+            fwd.dWout, fwd.dbout = np.zeros_like(self.Wout.value), np.zeros_like(self.bout.value)
+        # every target's index in hidden, and its token, the documents in the given order
+        at = np.concatenate([position[: lengths[row], row] for row in np.argsort(order)])
+        targets = np.concatenate([doc.text_ids for doc in docs])
+        per_word = np.empty(len(at))
+        size = max(1, OUTPUT_BLOCK // self.config.vocab_size)
+        for start in range(0, len(at), size):
+            block = slice(start, start + size)
+            h = hidden[at[block]]
             shifted = self.output(h)
             shifted -= shifted.max(axis=1, keepdims=True)
-            target_logits = shifted[targets]
+            picked = np.arange(len(h)), targets[block]
+            target_logits = shifted[picked]
             exps = np.exp(shifted, out=shifted)
             sums = exps.sum(axis=1)
-            per_word.append(np.log(sums) - target_logits)
+            per_word[block] = np.log(sums) - target_logits
             if want_caches:
                 dlogits = exps
                 dlogits /= sums[:, None]
-                dlogits[targets] -= 1.0
-                if fwd.dWout is None:
-                    fwd.dWout, fwd.dbout = dlogits.T @ h, dlogits.sum(axis=0)
-                else:
-                    fwd.dWout += dlogits.T @ h
-                    fwd.dbout += dlogits.sum(axis=0)
-                fwd.dhidden[at] = dlogits @ self.Wout.value
-        per_word = np.concatenate(per_word)
+                dlogits[picked] -= 1.0
+                fwd.dWout += dlogits.T @ h
+                fwd.dbout += dlogits.sum(axis=0)
+                fwd.dhidden[at[block]] = dlogits @ self.Wout.value
         fwd.total_nll, fwd.per_word_nll = float(per_word.sum()), per_word.tolist()
         return fwd
 
@@ -430,7 +423,7 @@ class SamModel:
         dhidden = fwd.dhidden
 
         enc = state.enc
-        d_states = np.zeros_like(enc.padded) if enc is not None else None
+        d_states = np.zeros_like(enc.padded) if enc is not None else None  # the batch's rows
         dbow = np.zeros_like(state.bow_vec) if spec.bow else None
         gate_grads: list = [None] * len(steps)
         title_us: list = [None] * len(steps)
@@ -451,15 +444,14 @@ class SamModel:
                 if step.attr_att is not None:
                     dcands, dh_att, attr_us[t] = self.attr_att.backward(step.attr_att, dcontext)
                     dh_prev += dh_att
-                    dcands = np.array(dcands).transpose(1, 0, 2)  # candidate, row, d_tilde
                 else:
-                    dcands = [dcontext]
-                for name, dcand in zip(spec.candidate_names, dcands):
+                    dcands = dcontext[:, None]
+                for j, name in enumerate(spec.candidate_names):
+                    dcand = dcands[:, j]
                     if name == "title":
                         dvecs, dh_att, title_us[t] = self.title_att.backward(step.title_att, dcand)
                         dh_prev += dh_att
-                        for row, dv in enumerate(dvecs):
-                            d_states[enc.rows[row], : len(dv)] += dv
+                        d_states[:k] += dvecs
                     elif name == "author":
                         np.add.at(self.author_table.grad, state.author_ids[:k], dcand)
                     else:
@@ -474,12 +466,13 @@ class SamModel:
         if spec.state_init:
             self.state_W.grad += dh_next.T @ enc.last
             self.state_b.grad += dh_next.sum(axis=0)
-            d_states[enc.rows, [len(states) - 1 for states in enc.states]] += dh_next @ self.state_W.value
+            d_states[np.arange(len(d_states)), enc.ends] += dh_next @ self.state_W.value
         if spec.bow:
             self.bow_W.grad += dbow.T @ state.mean_emb
             for ids, dmean in zip(state.title_ids, dbow @ self.bow_W.value):
                 np.add.at(self.E.grad, list(ids), dmean / len(ids))
         if enc is not None:
+            d_states = d_states[enc.order]  # the encoder's rows, longest title first
             title_grads: list = [None] * len(enc.caches)
             dh_carry = np.zeros_like(enc.padded[:, 0])
             for pos in range(len(enc.caches) - 1, -1, -1):

@@ -22,21 +22,16 @@ GRAD_CHECK_FLOOR = 1e-5
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Normalized exponentials with max-subtraction for stability."""
+    """Normalized exponentials along the last axis, with max-subtraction for
+    stability."""
     if v.size < 1:
         raise ValueError("softmax of empty vector")
-    e = np.exp(v - np.max(v))
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Join two vectors, or two stacks of row vectors, along the last axis;
-    mismatched shapes raise ValueError."""
-    return np.concatenate([a, b], axis=-1)
 
 
 class Param:
@@ -158,20 +153,31 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
     """Read a checkpoint back into a name -> array map plus the stored config.
 
-    Raises ValueError naming the file and the tensor on a bad shape, a
-    truncated or non-finite block, or bytes left after the last block.
+    Raises ValueError naming the file on a malformed header, and the tensor
+    too on a bad or repeated entry, a truncated or non-finite block, or bytes
+    left after the last block.
     """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: unreadable header ({exc})") from None
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+            raise ValueError(f"checkpoint {path}: header is not an object with a list of tensors")
         if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {header.get('format')}")
+            raise ValueError(f"checkpoint {path}: unsupported format {header.get('format')!r}")
+        if not isinstance(header.get("config", {}), (dict, type(None))):
+            raise ValueError(f"checkpoint {path}: config is not an object")
         tensors: dict[str, np.ndarray] = {}
         name = None
         for spec in header["tensors"]:
-            name, shape = spec["name"], tuple(spec["shape"])
-            if not all(isinstance(n, int) and n >= 1 for n in shape):
-                raise ValueError(f"checkpoint {path}: tensor {name} has invalid shape {list(shape)}")
+            if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+                raise ValueError(f"checkpoint {path}: tensor entry without a name: {spec!r}")
+            name, shape = spec["name"], spec.get("shape")
+            if name in tensors:
+                raise ValueError(f"checkpoint {path}: tensor {name} appears twice")
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 1 for n in shape):
+                raise ValueError(f"checkpoint {path}: tensor {name} has invalid shape {shape!r}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:

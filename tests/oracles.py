@@ -228,7 +228,7 @@ def reference_backward_document(model, fwd):
     model.bout.grad += dlogits.sum(axis=0)
     dhidden = dlogits @ model.Wout.value
 
-    d_states = [np.zeros(model.config.d_tilde) for _ in enc.states[0]] if enc is not None else None
+    d_states = [np.zeros(model.config.d_tilde) for _ in enc.padded[0]] if enc is not None else None
     dbow = np.zeros(model.config.d_tilde) if spec.bow else None
     dh_next = np.zeros(d)
 
@@ -268,7 +268,7 @@ def reference_backward_document(model, fwd):
             model.E.grad[token_id] += dmean
     if enc is not None:
         dh_carry = np.zeros(model.config.d_tilde)
-        for t in range(len(enc.states[0]) - 1, -1, -1):
+        for t in range(len(enc.padded[0]) - 1, -1, -1):
             dw_t, dh_carry = gru_backward_per_step(
                 model.title_cell, first_row(enc.caches[t]), d_states[t] + dh_carry
             )

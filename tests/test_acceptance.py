@@ -89,7 +89,7 @@ class TestCriterion2ScalarOracles:
             att = BilinearAttention(att_store, "M1", 3, 5, np.random.default_rng(seed))
             states = [rng.uniform(-1, 1, 3) for _ in range(4)]
             h_main = rng.uniform(-1, 1, 5)
-            context, weights, _ = att.attend([np.array(states)], h_main[None])
+            context, weights, _ = att.attend(np.array(states)[None], h_main[None])
             exp_context, exp_weights = oracles.scalar_attention(
                 att.M.value.tolist(), [s.tolist() for s in states], h_main.tolist()
             )
@@ -100,7 +100,7 @@ class TestCriterion2ScalarOracles:
             att2_store = ParamStore()
             att2 = BilinearAttention(att2_store, "M2", 3, 5, np.random.default_rng(seed + 99))
             cands = [rng.uniform(-1, 1, 3) for _ in range(3)]
-            context, weights, _ = att2.attend([np.array(cands)], h_main[None])
+            context, weights, _ = att2.attend(np.array(cands)[None], h_main[None])
             exp_context, exp_weights = oracles.scalar_attention(
                 att2.M.value.tolist(), [c.tolist() for c in cands], h_main.tolist()
             )

@@ -24,8 +24,19 @@ def make_attention(attr_dim, hidden_dim, seed=0, zero=False):
 
 def attend_one(att, vectors, h_prev):
     """`attend` for one row: its context, weights and the cache."""
-    context, weights, cache = att.attend([vectors], h_prev[None])
+    context, weights, cache = att.attend(vectors[None], h_prev[None])
     return context[0], weights[0], cache
+
+
+def pad(vectors):
+    """Stack candidate arrays of unequal lengths, zero-padded, with the bias
+    that gives the padding zero weight."""
+    n = max(len(v) for v in vectors)
+    stacked = np.zeros((len(vectors), n, vectors[0].shape[1]))
+    bias = np.full((len(vectors), n), -np.inf)
+    for i, v in enumerate(vectors):
+        stacked[i, : len(v)], bias[i, : len(v)] = v, 0.0
+    return stacked, bias
 
 
 def backward_one(att, cache, dcontext):
@@ -49,14 +60,14 @@ class TestEncodeTitle:
     def test_single_word_title(self):
         store, cell, E = make_encoder()
         enc = encode_title(cell, [(2,)], E)
-        assert len(enc.states) == 1
-        assert enc.states[0].shape == (1, 3)
-        np.testing.assert_array_equal(enc.last, enc.states[0])
+        assert enc.padded.shape == (1, 1, 3)
+        assert enc.bias.tolist() == [[0.0]]
+        np.testing.assert_array_equal(enc.last, enc.padded[0])
 
     def test_zero_weights_give_zero_states(self):
         store, cell, E = make_encoder(zero=True)
         enc = encode_title(cell, [(1, 2, 3)], E)
-        for state in enc.states[0]:
+        for state in enc.padded[0]:
             np.testing.assert_allclose(state, 0.0, atol=1e-15)
 
     def test_composition_equals_chained_steps(self):
@@ -64,7 +75,7 @@ class TestEncodeTitle:
         ids = (1, 4, 2)
         enc = encode_title(cell, [ids], E)
         h = np.zeros(3)
-        for token_id, state in zip(ids, enc.states[0]):
+        for token_id, state in zip(ids, enc.padded[0]):
             h, _ = cell.step(E[token_id], h)
             np.testing.assert_allclose(state, h, atol=1e-12)
 
@@ -76,19 +87,22 @@ class TestEncodeTitle:
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_equals_each_title_alone(self, seed):
         # titles of unequal lengths, not given longest first: each keeps its
-        # own states, and the encoder steps the running titles as a prefix
+        # own states in the given order, zero-padded, and the encoder steps
+        # the running titles as a prefix
         store, cell, E = make_encoder(seed=seed)
         titles = [(1, 4, 2), (5,), (2, 3, 1, 4, 5), (3, 3, 1)]
         enc = encode_title(cell, titles, E)
-        assert list(enc.rows) == [1, 3, 0, 2]
+        assert list(enc.order) == [2, 0, 3, 1]
         assert [len(cache.w) for cache in enc.caches] == [4, 3, 3, 1, 1]
+        assert enc.padded.shape == (4, 5, 3)
         for i, title in enumerate(titles):
             alone = encode_title(cell, [title], E)
-            assert enc.states[i].shape == (len(title), 3)
-            np.testing.assert_allclose(enc.states[i], alone.states[0], rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(enc.padded[enc.rows[i], : len(title)], enc.states[i])
-            np.testing.assert_array_equal(enc.token_ids[enc.rows[i], : len(title)], title)
-        np.testing.assert_array_equal(enc.last, [states[-1] for states in enc.states])
+            np.testing.assert_allclose(enc.padded[i, : len(title)], alone.padded[0], rtol=0, atol=1e-15)
+            assert not enc.padded[i, len(title) :].any()
+            assert enc.bias[i].tolist() == [0.0] * len(title) + [-np.inf] * (5 - len(title))
+        for row, i in enumerate(enc.order):
+            np.testing.assert_array_equal(enc.token_ids[row, : len(titles[i])], titles[i])
+        np.testing.assert_array_equal(enc.last, [enc.padded[i, len(title) - 1] for i, title in enumerate(titles)])
 
 
 class TestTitleContext:
@@ -204,7 +218,7 @@ class TestStackedCandidates:
         att_store, att = make_attention(3, 5, seed=11)
         enc = encode_title(cell, [(2,)], E)
         rng = np.random.default_rng(11)
-        context, weights, cache = attend_one(att, enc.states[0], rng.uniform(-1, 1, 5))
+        context, weights, cache = attend_one(att, enc.padded[0], rng.uniform(-1, 1, 5))
         np.testing.assert_array_equal(weights, [1.0])
         np.testing.assert_allclose(context, enc.last[0], atol=1e-15)
         upstream = rng.uniform(-1, 1, 3)
@@ -234,22 +248,55 @@ class TestStackedCandidates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_attend_their_own_candidates(self, seed):
-        # three rows with 4, 1 and 6 candidates: each row equals that row alone
+        # three rows with 4, 1 and 6 candidates, zero-padded to 6 with a -inf
+        # bias past each row's own: each row equals that row alone
         store, att = make_attention(3, 4, seed=seed)
         rng = np.random.default_rng(900 + seed)
         vectors = [rng.uniform(-1, 1, (n, 3)) for n in (4, 1, 6)]
+        stacked, bias = pad(vectors)
         h_prev = rng.uniform(-1, 1, (3, 4))
         upstream = rng.uniform(-1, 1, (3, 3))
-        context, weights, cache = att.attend(vectors, h_prev)
+        context, weights, cache = att.attend(stacked, h_prev, bias)
         dvectors, dh, u = att.backward(cache, upstream)
-        for i in range(3):
+        for i, n in enumerate((4, 1, 6)):
             context_i, weights_i, cache_i = attend_one(att, vectors[i], h_prev[i])
             dvectors_i, dh_i, u_i = backward_one(att, cache_i, upstream[i])
             np.testing.assert_allclose(context[i], context_i, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(weights[i], weights_i, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(dvectors[i], dvectors_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights[i, :n], weights_i, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dvectors[i, :n], dvectors_i, rtol=0, atol=1e-15)
+            assert not weights[i, n:].any() and not dvectors[i, n:].any()
             np.testing.assert_allclose(dh[i], dh_i, rtol=0, atol=1e-15)
             np.testing.assert_allclose(u[i], u_i, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_padded_titles_attend_as_each_title_alone(self, seed):
+        # titles of 1, 4 and 9 words in one padded batch: the padding gets
+        # weight 0.0 exactly, and each row agrees with its title attended alone
+        # to 1e-12 of the row's largest entry
+        store, cell, E = make_encoder(d=4, dt=3, vocab=6, seed=seed)
+        att_store, att = make_attention(3, 5, seed=seed)
+        rng = np.random.default_rng(1000 + seed)
+        titles = [tuple(rng.integers(1, 6, n)) for n in (1, 4, 9)]
+        enc = encode_title(cell, titles, E)
+        h_prev = rng.uniform(-1, 1, (3, 5))
+        upstream = rng.uniform(-1, 1, (3, 3))
+        context, weights, cache = att.attend(enc.padded, h_prev, enc.bias)
+        dvectors, dh, u = att.backward(cache, upstream)
+        for i, title in enumerate(titles):
+            n = len(title)
+            assert weights[i, n:].tolist() == [0.0] * (9 - n)
+            assert not dvectors[i, n:].any()
+            alone = encode_title(cell, [title], E)
+            context_i, weights_i, cache_i = attend_one(att, alone.padded[0], h_prev[i])
+            dvectors_i, dh_i, u_i = backward_one(att, cache_i, upstream[i])
+            for got, want in (
+                (weights[i, :n], weights_i),
+                (context[i], context_i),
+                (dh[i], dh_i),
+                (u[i], u_i),
+                (dvectors[i, :n], dvectors_i),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (i, got, want)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_backward_over_steps_matches_per_step_oracle(self, seed):

@@ -14,7 +14,7 @@ from samlm.cli import build_parser, main
 from samlm.corpus import write_jsonl
 
 import synth
-from test_tensor import CHECKPOINT_DEFECTS, append_tensor, corrupt_checkpoint
+from test_tensor import CHECKPOINT_DEFECTS, append_tensor, corrupt_checkpoint, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +242,15 @@ class TestPipeline:
         assert main(args + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt}: missing tensor E" in err
+
+    def test_checkpoint_header_without_tensors_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        ckpt = run / "best.ckpt"
+        rewrite_header(ckpt, lambda header: {k: v for k, v in header.items() if k != "tensors"})
+        args = ["eval", "--model", str(ckpt), "--data", str(corpus_files / "test.jsonl")]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert f"checkpoint {ckpt}: header is not an object with a list of tensors" in capsys.readouterr().err
 
     def test_checkpoint_with_a_stray_tensor_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
         run = tmp_path / "run"

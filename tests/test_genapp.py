@@ -124,6 +124,21 @@ class TestSampler:
             se = np.sqrt(p * (1 - p) / n)
             assert abs(f - p) <= 3 * se, (p, f)
 
+    @pytest.mark.parametrize(
+        "draw, probs, expected",
+        [
+            (0.0, [0.0, 0.3, 0.0, 0.7], 1),  # on the leading zero's running sum: not the zero
+            (0.5, [0.0, 0.5, 0.0, 0.5], 3),  # each index owns [previous sum, its sum)
+            (1.0, [0.3, 0.7, 0.0, 0.0], 1),  # a draw at the total lands on the last positive entry
+        ],
+    )
+    def test_draws_on_interval_edges_skip_zero_probabilities(self, draw, probs, expected):
+        class Fixed:
+            def random(self):
+                return draw
+
+        assert sample_index(np.array(probs), Fixed()) == expected
+
     def test_masked_distribution_excludes_specials(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=9)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,13 +234,13 @@ class TestForward:
 
         from samlm.attention import encode_title
         from samlm.corpus import PAD_ID
-        from samlm.tensor import concat, softmax
+        from samlm.tensor import softmax
 
         enc = encode_title(model.title_cell, [doc.title_ids], model.E.value)
         h = np.zeros(model.config.d)
         total = 0.0
         for x, target in zip((PAD_ID,) + doc.text_ids[:-1], doc.text_ids):
-            w = concat(model.E.value[x], enc.states[0][0])
+            w = np.concatenate((model.E.value[x], enc.padded[0, 0]))
             h, _ = model.main_cell.step(w, h)
             probs = softmax(model.Wout.value @ h + model.bout.value)
             total -= np.log(probs[target])
@@ -368,6 +369,41 @@ class TestBatch:
         np.testing.assert_allclose(blocked.per_word_nll, whole.per_word_nll, rtol=0, atol=1e-12)
         for name in ("dhidden", "dWout", "dbout"):
             np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name), rtol=0, atol=1e-12)
+
+    def test_document_longer_than_a_block_matches_one_block(self, monkeypatch):
+        # 40 targets in blocks of 6: one document is split like any batch
+        rng = np.random.default_rng(5)
+        text = tuple(rng.integers(3, 9, 39).tolist()) + (EOS_ID,)
+        doc = IndexedDocument(id="long", text_ids=text, title_ids=(4, 6, 8), author_id=1, category_id=0)
+        model = tiny_model("SAM-Title-Au-Att", seed=3, vocab_size=9)
+        whole = model.forward_document(doc, want_trace=False)
+        monkeypatch.setattr(model_module, "OUTPUT_BLOCK", 6 * 9)
+        blocks = []
+        monkeypatch.setattr(model, "output", lambda h, score=model.output: blocks.append(len(h)) or score(h))
+        blocked = model.forward_document(doc, want_trace=False)
+        assert blocks == [6] * 6 + [4]
+        np.testing.assert_allclose(blocked.per_word_nll, whole.per_word_nll, rtol=0, atol=1e-10)
+        for name in ("dhidden", "dWout", "dbout"):
+            np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name), rtol=0, atol=1e-12)
+
+    def test_scoring_memory_does_not_grow_with_a_long_documents_logits(self, monkeypatch):
+        # blocks of 16 targets at V = 2 000: the logits of all 1 000 targets
+        # would be 16 MB, and the traced peak stays within 8 MB of a
+        # 20-target document's (the step records grow by about 3 KB a step)
+        monkeypatch.setattr(model_module, "OUTPUT_BLOCK", 16 * 2000)
+        model = tiny_model("SAM-Title-Au-Att", seed=1, vocab_size=2000)
+
+        def peak(n_targets):
+            text = tuple((np.arange(n_targets - 1) % 1990 + 3).tolist()) + (EOS_ID,)
+            doc = IndexedDocument(id="d", text_ids=text, title_ids=(4, 6, 8), author_id=1, category_id=0)
+            tracemalloc.start()
+            try:
+                model.document_nll(doc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) - peak(20) < 8 * 2**20
 
     def test_rows_run_longest_first_as_a_shrinking_prefix(self):
         fwd = tiny_model("SAM-Title-Au-Att", seed=1, vocab_size=9).forward_document(BATCH, want_trace=False)

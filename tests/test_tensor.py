@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from samlm.tensor import (
     ParamStore,
-    concat,
     grad_check,
     load_checkpoint,
     save_checkpoint,
@@ -55,11 +55,6 @@ class TestKernels:
 
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.zeros(1))[0] == 0.5
-
-    def test_concat(self):
-        np.testing.assert_array_equal(
-            concat(np.array([1.0, 2.0]), np.array([3.0])), [1.0, 2.0, 3.0]
-        )
 
     def test_kernels_deterministic(self):
         rng = np.random.default_rng(1)
@@ -144,6 +139,39 @@ def append_tensor(path, name, value):
     body += np.ascontiguousarray(value, dtype="<f8").tobytes()
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
+def rewrite_header(path, edit):
+    """Apply `edit` to a saved checkpoint's parsed header in place; the
+    header written back is whatever `edit` returns."""
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header_line))).encode("utf-8") + b"\n" + body)
+
+
+def first_entry(**fields):
+    """A header edit that updates the first tensor entry with `fields`,
+    dropping those given as None."""
+
+    def edit(header):
+        entry = header["tensors"][0]
+        entry.update(fields)
+        for key, value in fields.items():
+            if value is None:
+                del entry[key]
+        return header
+
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "json_list": (lambda header: header["tensors"], "header is not an object with a list of tensors"),
+    "no_tensors": (lambda header: {k: v for k, v in header.items() if k != "tensors"}, "list of tensors"),
+    "tensors_not_a_list": (lambda header: {**header, "tensors": 5}, "list of tensors"),
+    "no_name": (first_entry(name=None), "tensor entry without a name"),
+    "shape_not_a_list": (first_entry(shape=3), "tensor a has invalid shape 3"),
+    "boolean_dimension": (first_entry(shape=[True, 3]), "tensor a has invalid shape [True, 3]"),
+    "config_not_an_object": (lambda header: {**header, "config": [1]}, "config is not an object"),
+}
+
+
 class TestCheckpoint:
     def _store(self, seed):
         store = ParamStore()
@@ -175,6 +203,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value) and expected in str(err.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_rejected_naming_the_file(self, tmp_path, case):
+        edit, expected = MALFORMED_HEADERS[case]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._store(3), config={"d": 3})
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert f"checkpoint {path}: " in str(err.value) and expected in str(err.value)
+
+    def test_header_that_is_not_json_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"\xff{not json\n")
+        with pytest.raises(ValueError, match="unreadable header") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._store(3), config={"d": 3})
+        append_tensor(path, "a", np.ones((2, 3)))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: tensor a appears twice"):
+            load_checkpoint(path)
 
     def test_little_endian_payload(self, tmp_path):
         store = ParamStore()
