@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest, label, train, evaluate, generate.
 
-Settings come from an optional JSON config file plus flags; flags win, and a
-setting given by neither takes the default of the library call that uses it.
+Settings come from flags and an optional JSON config file that the flags'
+parser reads; flags win. A setting given by neither takes the default that
+`--help` shows, or else that of the library call that uses it.
 Exit codes: 0 success, 1 usage error, 2 runtime error. All randomness is seeded.
 """
 
@@ -34,7 +35,7 @@ class CliParser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", type=Path, default="samlm-out", help="output directory (default %(default)s)")
 
 
 def _add_vocab_flags(parser: argparse.ArgumentParser) -> None:
@@ -68,14 +69,14 @@ def build_parser() -> CliParser:
     p.add_argument("--beta", type=float, help="topic-word prior")
     p.add_argument("--iterations", type=int, help="Gibbs sweeps")
     p.add_argument("--cap", type=int)
-    p.add_argument("--top-words", type=int, help="words per topic in the report (default 15)")
+    p.add_argument("--top-words", type=int, default=15, help="words per topic in the report (default %(default)s)")
 
     p = sub.add_parser("train", help="train a model variant")
     _add_common(p)
     p.add_argument("--train", dest="train_path", type=Path, required=True)
     p.add_argument("--valid", dest="valid_path", type=Path, required=True)
-    p.add_argument("--variant", choices=sorted(VARIANTS), help="model variant (default RNN)")
-    p.add_argument("--d", type=int, help="hidden size (default 64)")
+    p.add_argument("--variant", choices=sorted(VARIANTS), default="RNN", help="model variant (default %(default)s)")
+    p.add_argument("--d", type=int, default=64, help="hidden size (default %(default)s)")
     p.add_argument("--dtilde", type=int, help="attribute embedding size (default equals --d)")
     _add_vocab_flags(p)
     p.add_argument("--lr", type=float)
@@ -102,7 +103,7 @@ def build_parser() -> CliParser:
     _add_common(p)
     p.add_argument("--train", dest="train_path", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--order", type=int, help="n-gram order (default 5)")
+    p.add_argument("--order", type=int, default=5, help="n-gram order (default %(default)s)")
     _add_vocab_flags(p)
 
     p = sub.add_parser("generate", help="decode text under attribute conditioning")
@@ -130,36 +131,38 @@ def build_parser() -> CliParser:
     return parser
 
 
-def _given(args, config: dict, *keys: str, **renamed: str) -> dict:
+def _given(args, *keys: str, **renamed: str) -> dict:
     """The settings among `keys` that a flag or the config file supplied, as
-    keyword arguments for the library call that holds their defaults; a flag
-    wins. `renamed` maps a keyword to the setting it is read from."""
-    given = {}
-    for name, key in [(key, key) for key in keys] + list(renamed.items()):
-        value = getattr(args, key, None)
-        if value is not None:
-            given[name] = value
-        elif key in config:
-            given[name] = config[key]
-    return given
+    keyword arguments for the library call that holds their defaults.
+    `renamed` maps a keyword to the setting it is read from."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {name: getattr(args, key) for name, key in pairs if getattr(args, key, None) is not None}
 
 
-def _setting(args, config: dict, key: str, default):
-    """Flag if given, else config value, else `default`; for the settings
-    that no library call holds."""
-    return _given(args, config, key).get(key, default)
-
-
-def _load_config(args, parser: argparse.ArgumentParser) -> dict:
-    """The config file's settings; a key must be the dest of some subcommand's flag."""
-    if args.config is None:
-        return {}
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """`argv` parsed again over the config file's settings, each converted and
+    checked as its flag's text is; a flag still wins, and null means unset."""
+    try:
+        config = json.loads(args.config.read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError(f"found {type(config).__name__}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise ValueError(f"{args.config}: a config file holds one JSON object ({exc})") from None
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     unknown = sorted(set(config) - {a.dest for p in commands.choices.values() for a in p._actions})
     if unknown:
         raise ValueError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
-    return config
+    command = commands.choices[args.command]
+    for action in [a for a in command._actions if config.get(a.dest) is not None]:
+        value = config[action.dest]
+        try:  # no flag text reads as a bool, list or object
+            converted = (action.type or str)(str(value))
+            if isinstance(value, (bool, list, dict)) or converted not in (action.choices or [converted]):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{args.config}: invalid {action.dest} {value!r}") from None
+        command.set_defaults(**{action.dest: converted})
+    return parser.parse_args(argv)
 
 
 def _load_run(model_path: Path) -> tuple[SamModel, Vocabulary, AttributeInventory]:
@@ -215,9 +218,9 @@ def _indexed(path: Path, vocab, attrs):
     return corpus.index_corpus(corpus.ingest(path), vocab, attrs)
 
 
-def cmd_ingest(args, config: dict, out: Path) -> int:
-    docs, vocab, attrs = _read_corpus(args.data, _given(args, config, "cap", "min_count"))
-    _save_corpus_artifacts(out, vocab, attrs)
+def cmd_ingest(args) -> int:
+    docs, vocab, attrs = _read_corpus(args.data, _given(args, "cap", "min_count"))
+    _save_corpus_artifacts(args.out, vocab, attrs)
     stats = {
         "documents": len(docs),
         "tokens": sum(len(d.text) for d in docs),
@@ -225,71 +228,69 @@ def cmd_ingest(args, config: dict, out: Path) -> int:
         "authors": len(attrs.authors) - 1,
         "categories": len(attrs.categories) - 1,
     }
-    write_text(out / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    write_text(args.out / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
-def cmd_lda_label(args, config: dict, out: Path) -> int:
-    docs, vocab, attrs = _read_corpus(args.data, _given(args, config, "cap"))
+def cmd_lda_label(args) -> int:
+    docs, vocab, attrs = _read_corpus(args.data, _given(args, "cap"))
     indexed = corpus.index_corpus(docs, vocab, attrs)
-    cfg = lda.LdaConfig(**_given(args, config, "alpha", "beta", "iterations", "seed", n_topics="topics"))
+    cfg = lda.LdaConfig(**_given(args, "alpha", "beta", "iterations", "seed", n_topics="topics"))
     topic_model = lda.fit(indexed, cfg, vocab_size=len(vocab))
     labeled = lda.label_corpus(topic_model, docs)
-    corpus.write_jsonl(labeled, out / "labeled.jsonl")
-    k = _setting(args, config, "top_words", 15)
+    corpus.write_jsonl(labeled, args.out / "labeled.jsonl")
     lines = [
         f"topic-{i}: {' '.join(words)}"
-        for i, words in enumerate(lda.top_words(topic_model, k, vocab))
+        for i, words in enumerate(lda.top_words(topic_model, args.top_words, vocab))
     ]
-    write_text(out / "topic_words.txt", "\n".join(lines) + "\n")
+    write_text(args.out / "topic_words.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
-def cmd_train(args, config: dict, out: Path) -> int:
-    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, config, "cap", "min_count"))
+def cmd_train(args) -> int:
+    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, "cap", "min_count"))
     valid_docs = corpus.ingest(args.valid_path)
-    _save_corpus_artifacts(out, vocab, attrs)
+    _save_corpus_artifacts(args.out, vocab, attrs)
 
-    d = _setting(args, config, "d", 64)
     model_cfg = ModelConfig(
-        variant=_setting(args, config, "variant", "RNN"),
-        d=d,
-        d_tilde=_setting(args, config, "dtilde", d),
+        variant=args.variant,
+        d=args.d,
+        d_tilde=args.d if args.dtilde is None else args.dtilde,
         vocab_size=len(vocab),
         n_authors=len(attrs.authors),
         n_categories=len(attrs.categories),
-        **_given(args, config, "seed"),
+        **_given(args, "seed"),
     )
     sam = build(model_cfg)
     train_cfg = trainer.TrainConfig(
-        **_given(args, config, "lr", "batch_size", "max_epochs", "patience", "clip_norm", "seed")
+        **_given(args, "lr", "batch_size", "max_epochs", "patience", "clip_norm", "seed")
     )
     result = trainer.train(
         sam,
         corpus.index_corpus(train_docs, vocab, attrs),
         corpus.index_corpus(valid_docs, vocab, attrs),
         train_cfg,
-        run_dir=out,
+        run_dir=args.out,
         log=print,
     )
     print(f"best epoch {result.best_epoch}  best valid ppl {result.best_valid_ppl:.3f}")
     return 0
 
 
-def cmd_eval(args, config: dict, out: Path) -> int:
+def cmd_eval(args) -> int:
     sam, vocab, attrs = _load_run(args.model)
     docs = _indexed(args.data, vocab, attrs)
     report = evaluate.perplexity(
         sam, docs, model_id=sam.config.variant, corpus_id=args.corpus_id or args.data.stem
     )
-    write_text(out / "perplexity.csv", report.csv())
+    write_text(args.out / "perplexity.csv", report.csv())
     print(report.csv().strip())
     return 0
 
 
-def cmd_word_delta(args, config: dict, out: Path) -> int:
+def cmd_word_delta(args) -> int:
     model_a, vocab_a, attrs_a = _load_run(args.model_a)
     model_b, vocab, attrs = _load_run(args.model_b)
     for what, read_by_a, mine, theirs in (
@@ -306,39 +307,38 @@ def cmd_word_delta(args, config: dict, out: Path) -> int:
         docs,
         vocab,
         categories=attrs.categories,
-        **_given(args, config, "threshold", min_count="min_word_count"),
+        **_given(args, "threshold", min_count="min_word_count"),
     )
-    evaluate.write_word_delta_csv(report, out / "word_delta.csv")
+    evaluate.write_word_delta_csv(report, args.out / "word_delta.csv")
     print(evaluate.format_word_delta(report))
     return 0
 
 
-def cmd_ngram(args, config: dict, out: Path) -> int:
-    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, config, "cap", "min_count"))
-    order = _setting(args, config, "order", 5)
+def cmd_ngram(args) -> int:
+    train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, "cap", "min_count"))
     kn = ngram.KneserNeyModel.fit(
-        corpus.index_corpus(train_docs, vocab, attrs), order=order, vocab_size=len(vocab)
+        corpus.index_corpus(train_docs, vocab, attrs), order=args.order, vocab_size=len(vocab)
     )
-    kn.save(out / f"kn{order}.counts")
+    kn.save(args.out / f"kn{args.order}.counts")
     docs = _indexed(args.data, vocab, attrs)
     report = kn.perplexity(docs, corpus_id=args.data.stem)
-    write_text(out / "ngram_perplexity.csv", report.csv())
+    write_text(args.out / "ngram_perplexity.csv", report.csv())
     print(report.csv().strip())
     return 0
 
 
-def cmd_generate(args, config: dict, out: Path) -> int:
+def cmd_generate(args) -> int:
     sam, vocab, attrs = _load_run(args.model)
     req = generation.GenRequest(
         title=_title_tokens(args.title),
         author=args.author,
         category=args.category,
-        **_given(args, config, *DECODING),
+        **_given(args, *DECODING),
     )
     result = generation.generate(sam, vocab, attrs, req)
     attn_path = None
     if not result.trace.empty:
-        attn_path = out / "attention.csv"
+        attn_path = args.out / "attention.csv"
         write_trace_csv(result.trace, attn_path)
     payload = {
         "tokens": result.tokens,
@@ -346,12 +346,12 @@ def cmd_generate(args, config: dict, out: Path) -> int:
         "warnings": result.warnings,
         "attention_csv_path": str(attn_path) if attn_path else None,
     }
-    write_text(out / "generation.json", json.dumps(payload, indent=2) + "\n")
+    write_text(args.out / "generation.json", json.dumps(payload, indent=2) + "\n")
     print(" ".join(result.tokens))
     return 0
 
 
-def cmd_vary(args, config: dict, out: Path) -> int:
+def cmd_vary(args) -> int:
     sam, vocab, attrs = _load_run(args.model)
     source = corpus.Document(
         id="vary-source",
@@ -361,12 +361,12 @@ def cmd_vary(args, config: dict, out: Path) -> int:
         category=args.category,
     )
     result = generation.style_variation(
-        sam, vocab, attrs, source, fake_author=args.fake_author, **_given(args, config, *DECODING)
+        sam, vocab, attrs, source, fake_author=args.fake_author, **_given(args, *DECODING)
     )
     paths = {}
     for label, gen in (("original", result.original), ("varied", result.varied)):
         if not gen.trace.empty:
-            path = out / f"attention_{label}.csv"
+            path = args.out / f"attention_{label}.csv"
             write_trace_csv(gen.trace, path)
             paths[label] = str(path)
     payload = {
@@ -376,33 +376,35 @@ def cmd_vary(args, config: dict, out: Path) -> int:
         "token_overlap": result.token_overlap,
         "attention_csv_path": paths,
     }
-    write_text(out / "variation.json", json.dumps(payload, indent=2) + "\n")
+    write_text(args.out / "variation.json", json.dumps(payload, indent=2) + "\n")
     print(json.dumps({"divergence": result.divergence, "token_overlap": result.token_overlap}))
     return 0
 
 
-def cmd_export_attn(args, config: dict, out: Path) -> int:
+def cmd_export_attn(args) -> int:
     sam, vocab, attrs = _load_run(args.model)
     raw_docs = corpus.ingest(args.data)
     matches = [d for d in raw_docs if d.id == args.doc_id]
     if not matches:
         raise ValueError(f"document id {args.doc_id!r} not found in {args.data}")
-    doc = matches[0]
+    if len(matches) > 1:
+        raise ValueError(f"document id {args.doc_id!r} appears {len(matches)} times in {args.data}")
+    (doc,) = matches
     indexed = corpus.index_document(doc, vocab, attrs)
     fwd = sam.forward_document(indexed, want_caches=False)
     if fwd.trace.empty:
         raise ValueError(f"variant {sam.config.variant} records no attention trace")
     fwd.trace.main_tokens = [vocab.token_for(t) for t in indexed.text_ids]
     fwd.trace.title_tokens = list(doc.title or [])
-    path = out / f"attention_{args.doc_id}.csv"
+    path = args.out / f"attention_{args.doc_id}.csv"
     write_trace_csv(fwd.trace, path)
     print(str(path))
     return 0
 
 
-def cmd_gradcheck(args, config: dict, out: Path) -> int:
-    dims = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2, **_given(args, config, "seed"))
-    tolerances = _given(args, config, "eps", "tol")
+def cmd_gradcheck(args) -> int:
+    dims = dict(d=4, d_tilde=3, vocab_size=7, n_authors=2, n_categories=2, **_given(args, "seed"))
+    tolerances = _given(args, "eps", "tol")
     doc = corpus.IndexedDocument(
         id="gradcheck",
         text_ids=(3, 5, 4, corpus.EOS_ID),
@@ -450,11 +452,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        config = _load_config(args, parser)
-        out = Path(_setting(args, config, "out", "samlm-out"))
+        if args.config is not None:
+            args = _with_config(parser, args, argv)
         if args.command != "gradcheck":  # the only command that writes nothing
-            out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](args, config, out)
+            args.out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](args)
     except SystemExit:
         raise
     except Exception as exc:  # runtime failure contract: report and exit 2

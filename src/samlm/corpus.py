@@ -105,8 +105,12 @@ def _parse_attribute(record: dict, field: str, line_no: int) -> str | None:
 def ingest(path) -> list[Document]:
     """Read attribute-annotated documents from a JSONL file, in file order."""
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {line_no} is not UTF-8") from None
             if not line.strip():
                 continue
             try:

@@ -3,6 +3,8 @@ substitution."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,12 +27,12 @@ class GenRequest:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
+        if isinstance(self.max_len, bool) or not isinstance(self.max_len, numbers.Integral) or self.max_len < 1:
+            raise ValueError(f"max_len must be an integer of at least 1, got {self.max_len!r}")
         if self.strategy not in ("greedy", "sample"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "sample" and self.temperature <= 0:
-            raise ValueError("temperature must be positive for sampling")
+        if self.strategy == "sample" and not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and positive for sampling, got {self.temperature!r}")
 
 
 @dataclass

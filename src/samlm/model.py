@@ -158,10 +158,10 @@ class DocForward:
     The rows of `state` are the documents sorted longest first, so the rows
     still running at any step are a prefix. `total_nll` sums every target;
     `per_word_nll` lists the targets' NLLs document by document, in the order
-    the documents were given. With caches it also holds the step records,
-    every target and hidden state (N x d) stacked step by step, each step's
-    rows in order, and the output layer's part of the backward pass: the
-    summed NLL's gradient w.r.t. each hidden state (N x d), Wout and bout.
+    the documents were given. With caches it also holds the step records
+    and the output layer's part of the backward pass: the summed NLL's
+    gradient w.r.t. each hidden state (N x d, stacked step by step, each
+    step's rows in order), Wout and bout.
     The output layer runs over fixed blocks of targets in document order
     (`OUTPUT_BLOCK`), so no targets x V array outlives its block, however
     long the document.
@@ -172,8 +172,6 @@ class DocForward:
     per_word_nll: list[float]
     trace: AttentionTrace
     caches: list[StepRecord] = field(default_factory=list)
-    targets: np.ndarray | None = None
-    hidden: np.ndarray | None = None
     dhidden: np.ndarray | None = None
     dWout: np.ndarray | None = None
     dbout: np.ndarray | None = None
@@ -367,7 +365,7 @@ class SamModel:
         position[running] = np.arange(len(hidden))
         fwd = DocForward(state, 0.0, [], trace)
         if want_caches:
-            fwd.caches, fwd.targets, fwd.hidden = steps, grid[running], hidden
+            fwd.caches = steps
             fwd.dhidden = np.empty_like(hidden)
             fwd.dWout, fwd.dbout = np.zeros_like(self.Wout.value), np.zeros_like(self.bout.value)
         # every target's index in hidden, and its token, the documents in the given order

@@ -141,10 +141,19 @@ class KneserNeyModel:
         """Read a count file; the discounts are re-estimated from its counts,
         and the header's copy is left for human readers. A line that is not
         an order in 1..order, that many token ids in [0, vocab_size) and a
-        count of at least 1 raises ValueError naming the file and the line."""
+        count of at least 1 raises ValueError naming the file and the line,
+        and so does a header that is not a JSON object with an integer order
+        and vocab_size."""
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            model = cls(header["order"], header["vocab_size"])
+            try:
+                header = json.loads(fh.readline())
+                if not isinstance(header, dict) or any(
+                    type(header.get(key)) is not int for key in ("order", "vocab_size")
+                ):
+                    raise ValueError("want a JSON object with an integer order and vocab_size")
+                model = cls(header["order"], header["vocab_size"])
+            except ValueError as exc:  # JSONDecodeError included
+                raise ValueError(f"{path}: malformed header: {exc}") from None
             grams: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.order)]
             for line_no, line in enumerate(fh, start=2):
                 try:

@@ -3,6 +3,7 @@ validation log-likelihood, checkpointing."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,8 +27,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("lr", "clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:

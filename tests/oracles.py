@@ -209,22 +209,23 @@ def first_row(cache):
     return type(cache)(**{f.name: getattr(cache, f.name)[0] for f in dataclasses.fields(cache)})
 
 
-def reference_backward_document(model, fwd):
+def reference_backward_document(model, doc, fwd):
     """Backpropagation through time with every weight gradient added step by
-    step, from the caches of `model.forward_document(doc)` for one document.
+    step, from the caches of `fwd = model.forward_document(doc)` for one document.
     Accumulates into the model's gradient buffers, as `backward_document`
     does."""
     spec = model.variant
     state = fwd.state
-    targets = fwd.targets
+    targets = list(doc.text_ids)
+    hidden = np.concatenate([step.h for step in fwd.caches])
     d = model.config.d
     enc = state.enc
 
-    logits = fwd.hidden @ model.Wout.value.T + model.bout.value
+    logits = hidden @ model.Wout.value.T + model.bout.value
     dlogits = np.exp(logits - logits.max(axis=1, keepdims=True))
     dlogits /= dlogits.sum(axis=1, keepdims=True)
     dlogits[np.arange(len(targets)), targets] -= 1.0
-    model.Wout.grad += dlogits.T @ fwd.hidden
+    model.Wout.grad += dlogits.T @ hidden
     model.bout.grad += dlogits.sum(axis=0)
     dhidden = dlogits @ model.Wout.value
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samlm
-from samlm.cli import build_parser, main
+from samlm import generation
+from samlm.cli import _with_config, build_parser, main
 from samlm.corpus import write_jsonl
 
 import synth
@@ -198,6 +202,17 @@ class TestPipeline:
         assert code == 0
         files = list(tmp_path.glob("attention_*.csv"))
         assert files and files[0].read_text().startswith(",")
+
+    def test_export_attn_rejects_a_repeated_id(self, corpus_files, trained_run, tmp_path, capsys):
+        lines = (corpus_files / "test.jsonl").read_text().splitlines()
+        data = tmp_path / "data.jsonl"
+        data.write_text("\n".join(lines + lines[:1] + lines[:1]) + "\n")
+        doc_id = json.loads(lines[0])["id"]
+        out = tmp_path / "out"
+        args = ["export-attn", "--model", str(trained_run / "best.ckpt"), "--data", str(data), "--doc-id", doc_id]
+        assert main(args + ["--out", str(out)]) == 2
+        assert f"document id {doc_id!r} appears 3 times in {data}" in capsys.readouterr().err
+        assert not list(out.glob("attention_*.csv"))
 
     @pytest.mark.parametrize("edit", ["truncated", "padded"])
     def test_vocab_that_disagrees_with_checkpoint_exits_two(self, corpus_files, trained_run, tmp_path, capsys, edit):
@@ -501,3 +516,147 @@ class TestSettings:
         args = [command, "--config", str(path), "--out", str(out)] + flags
         assert main(args + _command_args(command, corpus_files, trained_run)) == 0
         assert shaped(out)
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {"batch_size": 2.5}, "batch_size"),
+        ("train", {"d": 8.5}, "d"),
+        ("train", {"patience": True}, "patience"),
+        ("generate", {"max_len": 2.5, "strategy": "greedy"}, "max_len"),
+        ("train", {"variant": "NOPE"}, "variant"),
+        ("train", {"cap": [12]}, "cap"),
+        # a str or Path setting takes any scalar's text, but no bool, list or object
+        ("generate", {"author": True}, "author"),
+        ("generate", {"title": ["zzz", "qqq"]}, "title"),
+        ("train", {"out": {"dir": "o"}}, "out"),
+    ])
+    def test_config_value_its_flag_would_refuse_exits_two(self, corpus_files, trained_run, tmp_path, capsys,
+                                                         command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + _command_args(command, corpus_files, trained_run)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid {key} {config[key]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "\"train\"", "3", "{\"order\": 2"])
+    def test_config_that_is_not_a_json_object_exits_two(self, corpus_files, trained_run, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        args = ["ngram", "--config", str(path), "--out", str(out)]
+        assert main(args + _command_args("ngram", corpus_files, trained_run)) == 2
+        assert f"{path}: a config file holds one JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_run_as_their_flags_do(self, corpus_files, trained_run, tmp_path):
+        # strings and integers convert as flag text does, and null means unset
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "SAM-Au-Att", "d": "4", "lr": "0.005", "clip_norm": 2,
+                                      "max_epochs": 1, "patience": None, "batch_size": None}))
+        flags = ["--variant", "SAM-Au-Att", "--d", "4", "--lr", "0.005", "--clip-norm", "2", "--max-epochs", "1"]
+        base = ["train"] + _command_args("train", corpus_files, trained_run)
+        assert main(base + ["--config", str(config), "--out", str(tmp_path / "config")]) == 0
+        assert main(base + flags + ["--out", str(tmp_path / "flags")]) == 0
+        for name in ("best.ckpt", "last.ckpt", "vocab.txt"):
+            assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes(), name
+        histories = [(tmp_path / side / "history.csv").read_text().splitlines() for side in ("config", "flags")]
+        # every column but the seconds, and the footer: clip_norm=2.0, as the flag reads it
+        assert [line.rsplit(",", 1)[0] for line in histories[0]] == [line.rsplit(",", 1)[0] for line in histories[1]]
+        assert histories[0][-1] == "# clip_norm=2.0 lr=0.005 batch_size=20 seed=0"
+
+    # title, author and category from the config file; a flag still wins (vary's --author alice)
+    @pytest.mark.parametrize("command, config, callee, conditioning", [
+        ("generate", {"title": "zzz qqq", "author": "alice", "category": "c"}, "GenRequest",
+         lambda args, kwargs: (kwargs["title"], kwargs["author"], kwargs["category"])),
+        ("vary", {"title": "zzz qqq", "author": "carol", "category": "c"}, "style_variation",
+         lambda args, kwargs: (args[3].title, args[3].author, args[3].category)),
+    ])
+    def test_config_conditioning_reaches_the_decoder(self, trained_run, tmp_path, monkeypatch, command, config,
+                                                     callee, conditioning):
+        calls = []
+
+        def spy(*args, _real=getattr(generation, callee), **kwargs):
+            calls.append((args, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(generation, callee, spy)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--model", str(trained_run / "best.ckpt")]
+        assert main(args + (["--author", "alice", "--fake-author", "bob"] if command == "vary" else [])) == 0
+        assert len(calls) == 1 and conditioning(*calls[0]) == (("zzz", "qqq"), "alice", "c")
+
+    def test_config_corpus_id_names_the_eval_corpus(self, corpus_files, trained_run, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus_id": "held-out"}))
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(path), "--out", str(out), "--model", str(trained_run / "best.ckpt"),
+                     "--data", str(corpus_files / "test.jsonl")]) == 0
+        assert (out / "perplexity.csv").read_text().splitlines()[1].startswith("SAM-Au-Att,held-out,")
+
+    @pytest.mark.parametrize("config, flags, name", [
+        (None, ["--clip-norm", "-1"], "clip_norm"),
+        (None, ["--clip-norm", "0"], "clip_norm"),
+        (None, ["--lr", "nan"], "lr"),
+        ("{\"lr\": NaN}", [], "lr"),
+    ])
+    def test_step_size_out_of_range_exits_two_before_a_checkpoint(self, corpus_files, trained_run, tmp_path, capsys,
+                                                                  config, flags, name):
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
+        args = ["train", "--out", str(out), "--d", "4", "--max-epochs", "1"] + flags
+        assert main(args + _command_args("train", corpus_files, trained_run)) == 2
+        assert f"{name} must be finite and positive" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt")) and not (out / "history.csv").exists()
+
+    def test_nan_temperature_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--temperature", "nan"]
+        assert main(args + _command_args("generate", corpus_files, trained_run)) == 2
+        assert "temperature must be finite and positive" in capsys.readouterr().err
+        assert not (out / "generation.json").exists()
+
+
+def _subcommands(parser):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+# every (subcommand, config key) pair, and the JSON scalars a config file can give it
+COMMAND_KEYS = [(name, action.dest) for name, sub in sorted(_subcommands(build_parser()).items())
+                for action in sub._actions]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+                         st.sampled_from(["2", "0.5", "-1", "1e3", "nan", "greedy", "RNN", " 7 ", ""]))
+
+
+class TestConfigParse:
+    @settings(max_examples=300, deadline=None)
+    @given(setting=st.sampled_from(COMMAND_KEYS), value=JSON_SCALARS)
+    def test_any_scalar_takes_its_flags_type_or_is_named(self, tmp_path_factory, setting, value):
+        # parsing alone, no command run; any other exception than ValueError fails the test
+        command, key = setting
+        path = tmp_path_factory.getbasetemp() / "property-config.json"
+        path.write_text(json.dumps({key: value}))
+        parser = build_parser()
+        sub = _subcommands(parser)[command]
+        argv = [command, "--config", str(path)]
+        for action in sub._actions:
+            if action.required:
+                argv += [action.option_strings[0], "x"]
+        plain = parser.parse_args(argv)
+        try:
+            args = _with_config(parser, plain, argv)
+        except ValueError as exc:
+            assert value is not None and f"{path}: invalid {key} {value!r}" == str(exc)
+            return
+        (action,) = [a for a in sub._actions if a.dest == key]
+        assert not isinstance(value, bool)  # no flag's text reads as true or false
+        if value is None:
+            assert getattr(args, key, None) == getattr(plain, key, None)  # help sets no attribute
+        else:
+            assert isinstance(getattr(args, key), action.type or str)
+            assert action.choices is None or getattr(args, key) in action.choices

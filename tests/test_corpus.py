@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -49,6 +50,20 @@ class TestIngest:
         write_lines(path, [json.dumps({"text": "a"}), "{not json"])
         with pytest.raises(ValueError, match="line 2"):
             ingest(path)
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b'{"text": "a"}\n\n{"text": "caf\xe9"}\n{"text": "b"}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3 is not UTF-8$"):
+            ingest(path)
+
+    def test_crlf_lines_read_as_lf(self, tmp_path):
+        lines = [json.dumps({"id": "d1", "text": "a b", "title": "t"}), "", '{"text": "caf\u00e9"}']
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes("\n".join(lines).encode() + b"\n")
+        crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        assert ingest(crlf) == ingest(lf)
+        assert ingest(lf)[1].text == ("caf\u00e9",)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"

@@ -227,6 +227,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="strategy"):
             GenRequest(strategy="beam").validate()
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"max_len": 2.5}, "max_len"),
+        ({"max_len": True}, "max_len"),
+        ({"max_len": "3"}, "max_len"),
+        ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": float("inf")}, "temperature"),
+    ])
+    def test_request_validation_names_a_value_of_the_wrong_kind(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GenRequest(**fields).validate()
+
+    def test_greedy_request_ignores_temperature(self):
+        GenRequest(strategy="greedy", temperature=float("nan"), max_len=np.int64(3)).validate()
+
     def test_title_trace_shapes(self, title_setup):
         model, vocab, attrs, docs = title_setup
         req = GenRequest(title=docs[0].title, max_len=8, seed=3)

@@ -165,19 +165,20 @@ class TestForward:
         # those of softmax(Wout h + bout) - onehot(target) at every step
         model = tiny_model("SAM-Title-Au-Att", seed=3)
         fwd = model.forward_document(DOC)
-        logits = model.output(fwd.hidden)
+        hidden = np.concatenate([s.h for s in fwd.caches])
+        logits = model.output(hidden)
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         for row, target, nll in zip(probs, DOC.text_ids, fwd.per_word_nll):
             assert abs(row.sum() - 1.0) <= 1e-12
             assert abs(-np.log(row[target]) - nll) <= 1e-12
         dlogits = probs - np.eye(TINY["vocab_size"])[list(DOC.text_ids)]
         np.testing.assert_allclose(fwd.dbout, dlogits.sum(axis=0), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fwd.dWout, dlogits.T @ fwd.hidden, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fwd.dWout, dlogits.T @ hidden, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fwd.dhidden, dlogits @ model.Wout.value, rtol=0, atol=1e-12)
 
     def test_no_caches_keeps_no_per_token_arrays(self):
         fwd = tiny_model("SAM-Title-Au-Att", seed=3).forward_document(DOC, want_caches=False)
-        assert fwd.caches == [] and fwd.hidden is None and fwd.dhidden is None and fwd.dWout is None
+        assert fwd.caches == [] and fwd.dhidden is None and fwd.dWout is None
 
     def test_rnn_ignores_attributes(self):
         model = tiny_model("RNN", seed=2)
@@ -289,7 +290,7 @@ class TestBackward:
         model.backward_document(fwd)
         stacked = {p.name: p.grad.copy() for p in model.store.params()}
         model.store.zero_grads()
-        oracles.reference_backward_document(model, fwd)
+        oracles.reference_backward_document(model, LONG_DOC, fwd)
         for p in model.store.params():
             assert p.grad.any(), p.name
             np.testing.assert_allclose(stacked[p.name], p.grad, rtol=0, atol=1e-12, err_msg=p.name)
@@ -342,7 +343,7 @@ class TestBatch:
         per_word = []
         for doc in docs:
             one = model.forward_document(doc, want_trace=False)
-            oracles.reference_backward_document(model, one)
+            oracles.reference_backward_document(model, doc, one)
             per_word += one.per_word_nll
         np.testing.assert_allclose(fwd.per_word_nll, per_word, rtol=0, atol=1e-10)
         np.testing.assert_allclose(fwd.total_nll, sum(per_word), rtol=0, atol=1e-10)
@@ -410,8 +411,9 @@ class TestBatch:
         assert [len(step.x_ids) for step in fwd.caches] == [5, 3, 3, 3, 3, 2, 1, 1]
         assert list(fwd.caches[0].x_ids) == [PAD_ID] * 5
         assert list(fwd.caches[1].x_ids) == [6, 8, 3]
-        assert list(fwd.targets[:5]) == [6, 8, 3, EOS_ID, 4]
-        assert len(fwd.hidden) == len(fwd.per_word_nll) == sum(len(doc.text_ids) for doc in BATCH)
+        assert fwd.state.title_ids == [BATCH[i].title_ids for i in (2, 4, 0, 1, 3)]
+        hidden = np.concatenate([s.h for s in fwd.caches])
+        assert len(hidden) == len(fwd.per_word_nll) == sum(len(doc.text_ids) for doc in BATCH)
 
     def test_trace_of_a_batch_rejected(self):
         with pytest.raises(ValueError, match="one document"):

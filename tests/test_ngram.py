@@ -201,6 +201,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed count line 3$"):
             KneserNeyModel.load(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "[2, 5]",  # a list
+            '{"vocab_size": 5}',  # no order
+            "order 2",  # not JSON
+            '{"order": "2", "vocab_size": 5}',
+            '{"order": true, "vocab_size": 5}',
+            '{"order": 0, "vocab_size": 5}',
+        ],
+    )
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        vocab, attrs, docs = indexed_corpus(["a b a", "b a b"])
+        path = tmp_path / "kn2.counts"
+        KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab)).save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header + "\n"] + lines[1:]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header"):
+            KneserNeyModel.load(path)
+
     def test_file_is_sorted_text_with_header(self, tmp_path):
         vocab, attrs, docs = indexed_corpus(["a b a", "b a b"])
         model = KneserNeyModel.fit(docs, order=2, vocab_size=len(vocab))

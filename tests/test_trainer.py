@@ -211,6 +211,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-1).validate()
 
+    @pytest.mark.parametrize("name", ["lr", "clip_norm"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf")])
+    def test_step_sizes_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            TrainConfig(**{name: value}).validate()
+
 
 class TestClipAndHistory:
     def test_post_clip_norm_bounded(self):
