@@ -149,7 +149,8 @@ def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namesp
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise ValueError(f"{args.config}: a config file holds one JSON object ({exc})") from None
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    unknown = sorted(set(config) - {a.dest for p in commands.choices.values() for a in p._actions})
+    keys = {a.dest for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)}
+    unknown = sorted(set(config) - keys)
     if unknown:
         raise ValueError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
     command = commands.choices[args.command]
@@ -252,8 +253,6 @@ def cmd_lda_label(args) -> int:
 def cmd_train(args) -> int:
     train_docs, vocab, attrs = _read_corpus(args.train_path, _given(args, "cap", "min_count"))
     valid_docs = corpus.ingest(args.valid_path)
-    _save_corpus_artifacts(args.out, vocab, attrs)
-
     model_cfg = ModelConfig(
         variant=args.variant,
         d=args.d,
@@ -267,6 +266,8 @@ def cmd_train(args) -> int:
     train_cfg = trainer.TrainConfig(
         **_given(args, "lr", "batch_size", "max_epochs", "patience", "clip_norm", "seed")
     )
+    train_cfg.validate()  # a rejected setting leaves the run directory empty
+    _save_corpus_artifacts(args.out, vocab, attrs)
     result = trainer.train(
         sam,
         corpus.index_corpus(train_docs, vocab, attrs),

@@ -103,40 +103,50 @@ def _parse_attribute(record: dict, field: str, line_no: int) -> str | None:
 
 
 def ingest(path) -> list[Document]:
-    """Read attribute-annotated documents from a JSONL file, in file order."""
+    """Read attribute-annotated documents from a JSONL file, in file order.
+
+    Raises ValueError naming the file and line of a bad record."""
     docs: list[Document] = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: line {line_no} is not UTF-8") from None
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed record at line {line_no}: {exc}") from exc
-            if not isinstance(record, dict) or "text" not in record:
-                raise ValueError(f"missing text field at line {line_no}")
-            text = _parse_tokens(record["text"], "text", line_no)
-            if not text:
-                raise ValueError(f"empty text at line {line_no}")
-            title = None
-            if record.get("title") is not None:
-                title = _parse_tokens(record["title"], "title", line_no) or None
-            docs.append(
-                Document(
-                    id=str(record.get("id", f"doc{line_no}")),
-                    text=text,
-                    title=title,
-                    author=_parse_attribute(record, "author", line_no),
-                    category=_parse_attribute(record, "category", line_no),
-                )
-            )
+                doc = _parse_record(raw, line_no)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            if doc is not None:
+                docs.append(doc)
     if not docs:
         raise ValueError(f"no documents in {path}")
     return docs
+
+
+def _parse_record(raw: bytes, line_no: int) -> Document | None:
+    """The document on one JSONL line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"line {line_no} is not UTF-8") from None
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed record at line {line_no}: {exc}") from None
+    if not isinstance(record, dict) or "text" not in record:
+        raise ValueError(f"missing text field at line {line_no}")
+    text = _parse_tokens(record["text"], "text", line_no)
+    if not text:
+        raise ValueError(f"empty text at line {line_no}")
+    title = None
+    if record.get("title") is not None:
+        title = _parse_tokens(record["title"], "title", line_no) or None
+    return Document(
+        id=str(record.get("id", f"doc{line_no}")),
+        text=text,
+        title=title,
+        author=_parse_attribute(record, "author", line_no),
+        category=_parse_attribute(record, "category", line_no),
+    )
 
 
 def write_jsonl(docs: list[Document], path) -> None:

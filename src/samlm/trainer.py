@@ -14,7 +14,7 @@ from . import evaluate
 from .atomic import write_text
 from .corpus import IndexedDocument
 from .model import SamModel, save_model
-from .tensor import ParamStore
+from .tensor import ParamStore, run_blocked
 
 
 @dataclass
@@ -40,9 +40,11 @@ class Adam:
     """Bias-corrected Adam over a ParamStore; grads are zeroed after a step.
 
     The moment decays and epsilon are the defaults of Kingma & Ba
-    (arXiv:1412.6980). A step allocates nothing: every operation writes into
-    the moments, the gradient (spent once the moments are updated) or one
-    scratch buffer the size of the largest tensor."""
+    (arXiv:1412.6980). A step is one blocked pass (`tensor.run_blocked`)
+    that allocates no tensor-sized array: every operation writes into the
+    moments, the gradient (spent once the moments are updated) or a worker's
+    scratch slice, in the same order for every element, so the result does
+    not depend on the slicing or the worker count."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -52,22 +54,20 @@ class Adam:
         self.store = store
         self.lr = lr
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in store.params()}
-        self.v = {p.name: np.zeros_like(p.value) for p in store.params()}
-        self.scratch = np.empty(max((p.value.size for p in store.params()), default=0))
+        # np.zeros maps zeroed pages lazily, where zeros_like writes them all
+        self.m = {p.name: np.zeros(p.shape) for p in store.params()}
+        self.v = {p.name: np.zeros(p.shape) for p in store.params()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.BETA1, self.BETA2
+        b1, b2, lr, eps = self.BETA1, self.BETA2, self.lr, self.EPS
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p in self.store.params():
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient in {p.name}")
-            m = self.m[p.name]
-            v = self.v[p.name]
-            buf = self.scratch[: g.size].reshape(g.shape)
+        params = list(self.store.params())
+
+        def update(i, value, g, m, v, buf, ok):
+            if not np.isfinite(g, out=ok).all():
+                raise ValueError(f"non-finite gradient in {params[i].name}")
             # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=buf)
@@ -76,13 +76,15 @@ class Adam:
             v += np.multiply(buf, g, out=buf)
             # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
             np.divide(m, bias1, out=g)
-            g *= self.lr
+            g *= lr
             np.divide(v, bias2, out=buf)
             np.sqrt(buf, out=buf)
-            buf += self.EPS
+            buf += eps
             g /= buf
-            p.value -= g
+            value -= g
             g[...] = 0.0
+
+        run_blocked([(p.value, p.grad, self.m[p.name], self.v[p.name]) for p in params], update)
 
 
 @dataclass
@@ -161,8 +163,7 @@ def train(
             epoch_nll += fwd.total_nll
             batch_tokens = len(fwd.per_word_nll)
             epoch_tokens += batch_tokens
-            model.store.scale_grads(1.0 / batch_tokens)
-            model.store.clip_grad_norm(cfg.clip_norm)
+            model.store.clip_grad_norm(cfg.clip_norm, scale=1.0 / batch_tokens)
             optimizer.step()
 
         valid_nll = mean_nll(model, valid_docs)

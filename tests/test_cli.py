@@ -284,6 +284,15 @@ class TestPipeline:
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
         assert f"{field} must be a string or null at line 2" in capsys.readouterr().err
 
+    def test_bad_validation_record_names_the_file(self, corpus_files, tmp_path, capsys):
+        valid = tmp_path / "b.jsonl"
+        valid.write_text((corpus_files / "valid.jsonl").read_text() + '{"text": "a b"\n')
+        out = tmp_path / "out"
+        assert main(["train", "--train", str(corpus_files / "train.jsonl"), "--valid", str(valid),
+                     "--d", "4", "--out", str(out)]) == 2
+        assert f"{valid}: malformed record at line 21" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_word_delta_rejects_runs_with_different_vocabularies(self, tmp_path, capsys):
         # one run per author: same vocabulary size, disjoint words
         docs = synth.two_author_corpus(60, seed=1)
@@ -492,6 +501,15 @@ class TestSettings:
         assert str(config) in err and "'ordr'" in err
         assert not out.exists()
 
+    def test_help_config_key_exits_two(self, corpus_files, tmp_path, capsys):
+        # `help` is the dest of argparse's -h action, not a setting
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"help": 3}))
+        train, test = str(corpus_files / "train.jsonl"), str(corpus_files / "test.jsonl")
+        assert main(["ngram", "--config", str(config), "--out", str(tmp_path / "out"), "--train", train,
+                     "--data", test]) == 2
+        assert f"{config}: unknown config key 'help'" in capsys.readouterr().err
+
     def test_lda_setting_of_wrong_type_exits_two(self, corpus_files, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"iterations": 2.5}))
@@ -611,7 +629,7 @@ class TestSettings:
         args = ["train", "--out", str(out), "--d", "4", "--max-epochs", "1"] + flags
         assert main(args + _command_args("train", corpus_files, trained_run)) == 2
         assert f"{name} must be finite and positive" in capsys.readouterr().err
-        assert not list(out.glob("*.ckpt")) and not (out / "history.csv").exists()
+        assert not list(out.iterdir())  # no checkpoint, history or vocabulary
 
     def test_nan_temperature_exits_two(self, corpus_files, trained_run, tmp_path, capsys):
         out = tmp_path / "out"
@@ -628,7 +646,7 @@ def _subcommands(parser):
 
 # every (subcommand, config key) pair, and the JSON scalars a config file can give it
 COMMAND_KEYS = [(name, action.dest) for name, sub in sorted(_subcommands(build_parser()).items())
-                for action in sub._actions]
+                for action in sub._actions if not isinstance(action, argparse._HelpAction)]
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
                          st.sampled_from(["2", "0.5", "-1", "1e3", "nan", "greedy", "RNN", " 7 ", ""]))
 
@@ -656,7 +674,7 @@ class TestConfigParse:
         (action,) = [a for a in sub._actions if a.dest == key]
         assert not isinstance(value, bool)  # no flag's text reads as true or false
         if value is None:
-            assert getattr(args, key, None) == getattr(plain, key, None)  # help sets no attribute
+            assert getattr(args, key) == getattr(plain, key)
         else:
             assert isinstance(getattr(args, key), action.type or str)
             assert action.choices is None or getattr(args, key) in action.choices

@@ -57,6 +57,20 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3 is not UTF-8$"):
             ingest(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"text": "a"', "malformed record"),
+        ('["a"]', "missing text field"),
+        ('{"text": " "}', "empty text"),
+        ('{"text": 3}', "text must be a string"),
+        ('{"text": "a", "title": ["t"]}', "title must be a string"),
+        ('{"text": "a", "author": 3}', "author must be a string or null"),
+    ])
+    def test_every_record_error_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, [json.dumps({"text": "a"}), record])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message} at line 2"):
+            ingest(path)
+
     def test_crlf_lines_read_as_lf(self, tmp_path):
         lines = [json.dumps({"id": "d1", "text": "a b", "title": "t"}), "", '{"text": "caf\u00e9"}']
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"

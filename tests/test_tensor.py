@@ -1,16 +1,21 @@
 import json
+import math
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import samlm.tensor as tensor_mod
 from samlm.tensor import (
+    CHUNK,
     ParamStore,
     grad_check,
     load_checkpoint,
     save_checkpoint,
+    run_blocked,
     sigmoid,
     softmax,
 )
@@ -106,6 +111,67 @@ class TestParamStore:
 
 
 CHECKPOINT_DEFECTS = ["trailing", "nan", "negative_shape", "truncated"]
+
+
+# a tensor of four slices, the last one short, one of fewer than CHUNK
+# elements, and one of a single element
+BLOCKED_SHAPES = {"big": (3 * CHUNK + 5,), "mid": (40, 25), "one": (1,)}
+
+
+class TestBlocked:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_element_once_each_share_in_order(self, monkeypatch, workers):
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: workers)
+        # the tensors are consecutive runs of one array counting 0, 1, ..., so
+        # a slice's first value is its offset
+        sizes = [math.prod(shape) for shape in BLOCKED_SHAPES.values()]
+        base = np.arange(sum(sizes), dtype=float)
+        offsets = np.cumsum([0] + sizes)
+        arrays = [base[lo:hi].reshape(shape) for lo, hi, shape in zip(offsets, offsets[1:], BLOCKED_SHAPES.values())]
+        visits = []
+
+        def kernel(i, a, buf, ok):
+            assert a.ndim == 1 and buf.shape == ok.shape == a.shape
+            visits.append((threading.get_ident(), int(a[0])))
+            a += 1.0
+
+        run_blocked([(a,) for a in arrays], kernel)
+        np.testing.assert_array_equal(base, np.arange(base.size) + 1.0)
+        firsts = [0, CHUNK, 2 * CHUNK, 3 * CHUNK, 3 * CHUNK + 5, 3 * CHUNK + 1005]
+        assert sorted(first for _, first in visits) == firsts
+        by_thread = {}
+        for thread, first in visits:
+            by_thread.setdefault(thread, []).append(first)
+        assert all(run == sorted(run) for run in by_thread.values())
+        # six slices, at least two per worker: the caller runs the first share
+        assert by_thread[threading.get_ident()] == firsts[: len(firsts) // workers]
+        assert min(workers, 2) <= len(by_thread) <= workers
+
+    def test_fewer_than_two_slices_per_worker_run_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: 4)
+        threads = set()
+        run_blocked([(np.zeros(7 * CHUNK),)], lambda i, a, buf, ok: threads.add(threading.get_ident()))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e9])
+    def test_clip_bits_match_expression_form(self, monkeypatch, workers, max_norm):
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: workers)
+        rng = np.random.default_rng(5)
+        store = ParamStore()
+        expected = {}
+        for name, shape in BLOCKED_SHAPES.items():
+            grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+            store.add(name, shape, init="zeros").grad[...] = grad
+            expected[name] = grad * 0.3
+        norm = store.clip_grad_norm(max_norm, scale=0.3)
+        want = math.sqrt(sum(float(np.sum(g * g)) for g in expected.values()))
+        assert norm.hex() == want.hex()
+        if norm > max_norm:
+            expected = {name: g * (max_norm / want) for name, g in expected.items()}
+        for name, g in expected.items():
+            assert store[name].grad.tobytes() == g.tobytes(), name
+        assert store.grad_norm() == math.sqrt(sum(float(np.sum(g * g)) for g in expected.values()))
 
 
 def corrupt_checkpoint(path, defect):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import samlm.tensor as tensor_mod
 import samlm.trainer as trainer_mod
 from samlm.corpus import Document
 from samlm.model import ModelConfig, build
@@ -78,6 +79,45 @@ class TestAdam:
                 assert adam.m[name].tobytes() == m[name].tobytes(), (t, name)
                 assert adam.v[name].tobytes() == v[name].tobytes(), (t, name)
                 assert not stores[0][name].grad.any()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocked_steps_bit_identical_to_expression_form(self, monkeypatch, workers):
+        # a tensor of four slices (the last one short), one of fewer than
+        # CHUNK elements and one of a single element, split over 1-3 workers
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: workers)
+        rng = np.random.default_rng(4)
+        shapes = {"big": (3 * tensor_mod.CHUNK + 5,), "mid": (40, 25), "one": (1,)}
+        stores = []
+        for _ in range(2):
+            store = ParamStore()
+            for name, shape in shapes.items():
+                store.add(name, shape, rng=np.random.default_rng(len(name)))
+            stores.append(store)
+        adam = Adam(stores[0], lr=0.01)
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 6):
+            for name, shape in shapes.items():
+                grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                stores[0][name].grad[...] = grad
+                stores[1][name].grad[...] = grad
+            adam.step()
+            oracles.adam_expression_step(stores[1], m, v, t, lr=0.01)
+            for name in shapes:
+                assert stores[0][name].value.tobytes() == stores[1][name].value.tobytes(), (t, name)
+                assert adam.m[name].tobytes() == m[name].tobytes(), (t, name)
+                assert adam.v[name].tobytes() == v[name].tobytes(), (t, name)
+                assert not stores[0][name].grad.any()
+
+    def test_non_finite_gradient_on_a_worker_names_tensor(self, monkeypatch):
+        # two workers: the big tensor's last slice falls in the second share
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: 2)
+        store = ParamStore()
+        for name, size in (("one", 1), ("big", 3 * tensor_mod.CHUNK + 5), ("mid", 1000)):
+            store.add(name, (size,), init="zeros")
+        store["big"].grad[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient in big"):
+            Adam(store, lr=0.01).step()
 
     def test_non_finite_gradient_names_tensor(self):
         store, p = self._scalar_store(1.0)

@@ -10,13 +10,17 @@ script runs `python3 perfbench/run.py --workload W --seed S --seconds 60
 --trace 0` once in each tree, one run at a time, and rotates which tree goes
 first from one seed to the next, so that a drift of the machine's speed falls
 on every side alike. The control shows how far two copies of the same code
-read apart on this machine at this time.
+read apart on this machine at this time. Before each run, a subprocess times
+the machine yardstick, `outer_reference_ms` of perfbench/pipeline.py, in that
+tree; a pair whose sides' yardsticks differ ran in spells of different speed.
+The figures are reported as measured, not divided by the yardstick.
 
 The output keeps the layout of BENCH_7.json: per workload and end-to-end
 metric, q1, median and q3 of each side's runs, the change's median over the
 base's, and the pairs (same workload and seed) in which the change read
-better than the base; `per_seed_runs` lists every run's figure, and `command`
-the invocation that wrote the file. The file is rewritten after every pair,
+better than the base; `per_seed_runs` lists every run's figure,
+`yardstick_ms` every run's yardstick with each pair's ratio to the parent's,
+and `command` the invocation that wrote the file. The file is rewritten after every pair,
 so an interrupted invocation keeps the pairs it finished.
 """
 
@@ -43,7 +47,20 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+# perfbench's pinned environment, set before numpy loads
+YARDSTICK = ("import os, sys; sys.path[:0] = ['perfbench', 'src']; from run import PINNED_ENV; "
+             "os.environ.update(PINNED_ENV); from pipeline import outer_reference_ms; print(outer_reference_ms())")
+
+
+def yardstick_ms(tree: Path) -> float:
+    proc = subprocess.run([sys.executable, "-c", YARDSTICK], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: yardstick exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return round(float(proc.stdout.strip().splitlines()[-1]), 4)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
+    outer_ms = yardstick_ms(tree)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "60",
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -52,6 +69,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     full = json.loads((tree / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
     return {
+        "outer_ref_ms": outer_ms,
         "ok": bool(result["correct"]) and result["failed"] == 0,
         "metrics": {name: round(m["value"], 4) for name, m in result["metrics"].items()},
         "environment": full["environment"],
@@ -89,12 +107,14 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
             table[name] = row
         workloads[workload] = table
     per_seed: dict = {}
+    yardsticks: dict = {}
     for workload, done in pairs.items():
         for pair in done:
             entry = per_seed.setdefault(workload, {}).setdefault(f"seed{pair['seed']}", {})
             for side in sides:
                 for name, value in pair[side]["metrics"].items():
                     entry.setdefault(side, {}).setdefault(name, []).append(value)
+            yardsticks.setdefault(workload, {})[f"seed{pair['seed']}"] = yardstick_row(pair, sides)
     return {
         "description": (
             f"perfbench end-to-end figures, {args.parent_label} against this change"
@@ -113,8 +133,17 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
         },
         "runs_per_side": {w: len(done) for w, done in pairs.items()},
         "workloads": workloads,
+        "yardstick_ms": yardsticks,
         "per_seed_runs": per_seed,
     }
+
+
+def yardstick_row(pair: dict, sides: list[str]) -> dict:
+    """Each side's yardstick in one pair, and each other side's over the parent's."""
+    row = {side: pair[side]["outer_ref_ms"] for side in sides}
+    for side in sides[1:]:
+        row[f"{side}_over_parent"] = round(row[side] / row["parent"], 3)
+    return row
 
 
 def main() -> int:
@@ -145,7 +174,7 @@ def main() -> int:
                 started = time.perf_counter()
                 pair[side] = run_once(trees[side].resolve(), workload, seed)
                 print(f"{workload} seed {seed} {side:7s} {time.perf_counter() - started:5.1f} s "
-                      f"ok={pair[side]['ok']} "
+                      f"ok={pair[side]['ok']} outer_ref_ms={pair[side]['outer_ref_ms']:.4g} "
                       + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()), flush=True)
             environment = environment or {**pair["change"]["environment"], "note": (
                 "perfbench/run.py pins OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
