@@ -150,7 +150,7 @@ def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namesp
         raise ValueError(f"{args.config}: a config file holds one JSON object ({exc})") from None
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     keys = {a.dest for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)}
-    unknown = sorted(set(config) - keys)
+    unknown = sorted(set(config) - (keys - {"config"}))  # a config file is not followed to another
     if unknown:
         raise ValueError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
     command = commands.choices[args.command]

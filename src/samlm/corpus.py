@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import settings
 from .atomic import atomic_write, write_text
 
 UNK, EOS, PAD = "<unk>", "<eos>", "<pad>"
@@ -174,10 +175,8 @@ def build_vocab(docs: list[Document], cap: int = 10000, min_count: int = 1) -> V
     are kept at most. Literal special strings in the data collapse onto the
     reserved slots rather than being counted twice.
     """
-    if cap < 4:
-        raise ValueError(f"cap must be at least 4, got {cap}")
-    if min_count < 1:
-        raise ValueError(f"min_count must be at least 1, got {min_count}")
+    settings.integer("cap", cap, 4)
+    settings.integer("min_count", min_count, 1)
     counts: Counter = Counter()
     for doc in docs:
         counts.update(t for t in doc.text if t not in SPECIALS)
@@ -231,6 +230,7 @@ def split(
         raise ValueError(f"ratios must be three positives, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    settings.integer("seed", seed, 0)
     n = len(docs)
     sizes = [int(n * r) for r in ratios]
     remainders = [n * r - s for r, s in zip(ratios, sizes)]

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import settings
 from .atomic import write_text
 from .corpus import UNK_ID, IndexedDocument, Vocabulary
 
@@ -90,6 +91,8 @@ def word_delta(
     threshold: float = 0.05,
     min_count: int = 5,
 ) -> WordDeltaReport:
+    settings.real("threshold", threshold, or_zero=True)
+    settings.integer("min_count", min_count, 0)
     if model_a.config.vocab_size != model_b.config.vocab_size:
         raise ValueError("models must share a vocabulary")
     sums: dict[str, dict[int, float]] = {}

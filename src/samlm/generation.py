@@ -3,13 +3,12 @@ substitution."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import settings
 from .attention import AttentionTrace
 from .corpus import EOS_ID, PAD_ID, UNK_ID, AttributeInventory, Document, Vocabulary, index_document
 from .model import BatchState, SamModel, StepRecord
@@ -27,12 +26,12 @@ class GenRequest:
     seed: int = 0
 
     def validate(self) -> None:
-        if isinstance(self.max_len, bool) or not isinstance(self.max_len, numbers.Integral) or self.max_len < 1:
-            raise ValueError(f"max_len must be an integer of at least 1, got {self.max_len!r}")
+        settings.integer("max_len", self.max_len, 1)
+        settings.integer("seed", self.seed, 0)
         if self.strategy not in ("greedy", "sample"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "sample" and not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and positive for sampling, got {self.temperature!r}")
+            raise ValueError(f"strategy must be 'greedy' or 'sample', got {self.strategy!r}")
+        if self.strategy == "sample":
+            settings.real("temperature", self.temperature)
 
 
 @dataclass

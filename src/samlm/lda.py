@@ -9,21 +9,13 @@ document into its own label. That is the intended protocol, not a bug.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import settings
 from .corpus import Document, IndexedDocument
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -35,19 +27,12 @@ class LdaConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("n_topics", "iterations", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (_is_real(value) or (name == "alpha" and value is None)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.n_topics < 2:
-            raise ValueError("n_topics must be at least 2")
-        if (self.alpha is not None and not self.alpha > 0) or not self.beta > 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        settings.integer("n_topics", self.n_topics, 2)
+        if self.alpha is not None:
+            settings.real("alpha", self.alpha)
+        settings.real("beta", self.beta)
+        settings.integer("iterations", self.iterations, 0)
+        settings.integer("seed", self.seed, 0)
 
     @property
     def effective_alpha(self) -> float:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensor
+from . import settings, tensor
 from .attention import (
     AttentionCache,
     AttentionTrace,
@@ -108,16 +108,14 @@ class ModelConfig:
 
     def validate(self) -> VariantSpec:
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; known: {sorted(VARIANTS)}")
-        if self.d < 1 or self.d_tilde < 1:
-            raise ValueError("hidden sizes must be positive")
-        if self.vocab_size < 4:
-            raise ValueError("vocab_size must cover the three specials plus a token")
+            raise ValueError(f"variant must be one of {sorted(VARIANTS)}, got {self.variant!r}")
         spec = VARIANTS[self.variant]
-        if spec.author and self.n_authors < 1:
-            raise ValueError(f"variant {self.variant} needs an author inventory")
-        if spec.category and self.n_categories < 1:
-            raise ValueError(f"variant {self.variant} needs a category inventory")
+        settings.integer("d", self.d, 1)
+        settings.integer("d_tilde", self.d_tilde, 1)
+        settings.integer("vocab_size", self.vocab_size, 4)  # the three specials plus a token
+        settings.integer("n_authors", self.n_authors, int(spec.author))  # an author variant needs the inventory
+        settings.integer("n_categories", self.n_categories, int(spec.category))
+        settings.integer("seed", self.seed, 0)
         return spec
 
 
@@ -495,6 +493,11 @@ def load_model(path) -> SamModel:
     values, config = tensor.load_checkpoint(path)
     if config is None:
         raise ValueError(f"checkpoint {path} carries no model config")
-    model = SamModel(ModelConfig(**config), rng=None)
+    try:
+        model_config = ModelConfig(**config)  # TypeError: an unknown or missing key
+        model_config.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+    model = SamModel(model_config, rng=None)
     model.store.load_values(values, source=f"checkpoint {path}")
     return model

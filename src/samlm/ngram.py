@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import evaluate
+from . import evaluate, settings
 from .atomic import atomic_write
 from .corpus import PAD_ID, IndexedDocument
 
@@ -37,10 +37,8 @@ def _discount(table: dict[tuple[int, ...], int]) -> float:
 
 class KneserNeyModel:
     def __init__(self, order: int, vocab_size: int):
-        if order < 1:
-            raise ValueError(f"order must be at least 1, got {order}")
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
+        settings.integer("order", order, 1)
+        settings.integer("vocab_size", vocab_size, 1)
         self.order = order
         self.vocab_size = vocab_size
         # per order k (1-based): context tuple of length k-1 ->
@@ -147,11 +145,9 @@ class KneserNeyModel:
         with open(path, encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
-                if not isinstance(header, dict) or any(
-                    type(header.get(key)) is not int for key in ("order", "vocab_size")
-                ):
-                    raise ValueError("want a JSON object with an integer order and vocab_size")
-                model = cls(header["order"], header["vocab_size"])
+                if not isinstance(header, dict):
+                    raise ValueError("want a JSON object")
+                model = cls(header.get("order"), header.get("vocab_size"))
             except ValueError as exc:  # JSONDecodeError included
                 raise ValueError(f"{path}: malformed header: {exc}") from None
             grams: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.order)]

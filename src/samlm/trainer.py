@@ -3,14 +3,13 @@ validation log-likelihood, checkpointing."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluate
+from . import evaluate, settings
 from .atomic import write_text
 from .corpus import IndexedDocument
 from .model import SamModel, save_model
@@ -28,12 +27,10 @@ class TrainConfig:
 
     def validate(self) -> None:
         for name in ("lr", "clip_norm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
+            settings.real(name, getattr(self, name))
+        for name in ("batch_size", "max_epochs", "patience"):
+            settings.integer(name, getattr(self, name), 1)
+        settings.integer("seed", self.seed, 0)
 
 
 class Adam:

@@ -277,6 +277,26 @@ class TestPipeline:
         assert f"checkpoint {ckpt}: unexpected tensor stray" in capsys.readouterr().err
         assert not (tmp_path / "out" / "perplexity.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "generate", "vary", "word-delta", "export-attn"])
+    def test_checkpoint_config_of_wrong_type_exits_two(self, corpus_files, trained_run, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        ckpt = run / "best.ckpt"
+        rewrite_header(ckpt, lambda header: {**header, "config": {**header["config"], "d": 12.0}})
+        doc_id = json.loads((corpus_files / "test.jsonl").read_text().splitlines()[0])["id"]
+        args = {
+            "eval": ["--model", str(ckpt), "--data", str(corpus_files / "test.jsonl")],
+            "generate": ["--model", str(ckpt), "--author", "alice"],
+            "vary": ["--model", str(ckpt), "--author", "alice", "--fake-author", "bob"],
+            "word-delta": ["--model-a", str(trained_run / "best.ckpt"), "--model-b", str(ckpt),
+                           "--data", str(corpus_files / "test.jsonl")],
+            "export-attn": ["--model", str(ckpt), "--data", str(corpus_files / "test.jsonl"), "--doc-id", doc_id],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)] + args) == 2
+        assert f"checkpoint {ckpt}: d must be an integer of at least 1, got 12.0" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("field, value", [("author", 3), ("category", ["p"])])
     def test_non_string_attribute_exits_two(self, tmp_path, capsys, field, value):
         data = tmp_path / "docs.jsonl"
@@ -510,6 +530,16 @@ class TestSettings:
                      "--data", test]) == 2
         assert f"{config}: unknown config key 'help'" in capsys.readouterr().err
 
+    def test_config_config_key_exits_two(self, corpus_files, tmp_path, capsys):
+        # `config` names this file; a config file is not followed to another
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"config": "nowhere.json"}))
+        train, test = str(corpus_files / "train.jsonl"), str(corpus_files / "test.jsonl")
+        assert main(["ngram", "--config", str(config), "--out", str(tmp_path / "out"), "--train", train,
+                     "--data", test]) == 2
+        assert f"{config}: unknown config key 'config'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_lda_setting_of_wrong_type_exits_two(self, corpus_files, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"iterations": 2.5}))
@@ -638,15 +668,29 @@ class TestSettings:
         assert "temperature must be finite and positive" in capsys.readouterr().err
         assert not (out / "generation.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "nan"], "threshold must be finite and at least 0, got nan"),
+        (["--threshold", "-1"], "threshold must be finite and at least 0, got -1.0"),
+        (["--min-word-count", "-1"], "min_count must be an integer of at least 0, got -1"),
+    ])
+    def test_word_delta_setting_out_of_range_exits_two(self, corpus_files, trained_run, tmp_path, capsys, flags,
+                                                        message):
+        out = tmp_path / "out"
+        args = ["word-delta", "--out", str(out)] + flags
+        assert main(args + _command_args("word-delta", corpus_files, trained_run)) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "word_delta.csv").exists()
+
 
 def _subcommands(parser):
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return commands.choices
 
 
-# every (subcommand, config key) pair, and the JSON scalars a config file can give it
+# every (subcommand, config key) pair, and the JSON scalars a config file can give it; `help` and
+# `config` are refused as keys
 COMMAND_KEYS = [(name, action.dest) for name, sub in sorted(_subcommands(build_parser()).items())
-                for action in sub._actions if not isinstance(action, argparse._HelpAction)]
+                for action in sub._actions if action.dest not in ("help", "config")]
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
                          st.sampled_from(["2", "0.5", "-1", "1e3", "nan", "greedy", "RNN", " 7 ", ""]))
 

@@ -118,6 +118,19 @@ class TestLoadModel:
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: shape mismatch loading authors"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda config: config.update(width=4), "width"),  # an unknown key
+        (lambda config: config.pop("variant"), "variant"),  # a missing key
+        (lambda config: config.update(d="4"), "d must be an integer"),
+        (lambda config: config.update(d=4.0), "d must be an integer"),
+    ])
+    def test_bad_config_names_file_and_setting(self, tmp_path, edit, named):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model("SAM-Title-Au-Att", seed=2), path)
+        self._edit_header(path, lambda header: edit(header["config"]))
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: .*{named}"):
+            load_model(path)
+
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_load_draws_nothing_and_resaves_identical_bytes(self, tmp_path, monkeypatch, variant):
         model = tiny_model(variant, seed=8)

@@ -20,7 +20,11 @@ metric, q1, median and q3 of each side's runs, the change's median over the
 base's, and the pairs (same workload and seed) in which the change read
 better than the base; `per_seed_runs` lists every run's figure,
 `yardstick_ms` every run's yardstick with each pair's ratio to the parent's,
-and `command` the invocation that wrote the file. The file is rewritten after every pair,
+and `command` the invocation that wrote the file. A pair is steady when its
+yardstick ratio lies within 1 +- the parent's yardstick spread, (q3 - q1) /
+median of the parent's yardsticks; `<side>_over_parent_median_steady` is the
+median ratio over the steady pairs alone, with both sides' figures as
+measured, and `steady_pairs` counts them. The file is rewritten after every pair,
 so an interrupted invocation keeps the pairs it finished.
 """
 
@@ -87,7 +91,11 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
     """pairs: workload -> list of {"seed": s, side: {"ok": bool, "metrics": {name: value}}}."""
     sides = [s for s in SIDES if s != "control" or args.control is not None]
     workloads = {}
+    steady_pairs = {}
     for workload, done in pairs.items():
+        steady, spread = steady_indices(done, sides)
+        steady_pairs[workload] = {"parent_yardstick_spread": spread, "pairs": len(done),
+                                  **{f"{side}_kept": len(kept) for side, kept in steady.items()}}
         table = {}
         for metric in spec["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"
@@ -100,6 +108,10 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
             row["change_over_parent_median"] = round(statistics.median(values["change"]) / base_median, 3)
             if "control" in sides:
                 row["control_over_parent_median"] = round(statistics.median(values["control"]) / base_median, 3)
+            for side, kept in steady.items():
+                row[f"{side}_over_parent_median_steady"] = (round(
+                    statistics.median(values[side][i] for i in kept)
+                    / statistics.median(values["parent"][i] for i in kept), 3) if kept else None)
             row["change_wins"] = f"{wins}/{len(done)}"
             q1, _, q3 = row["parent_q1_median_q3"]
             gain = statistics.median(values["change"]) - base_median
@@ -134,8 +146,23 @@ def summarize(args, spec: dict, pairs: dict, environment: dict) -> dict:
         "runs_per_side": {w: len(done) for w, done in pairs.items()},
         "workloads": workloads,
         "yardstick_ms": yardsticks,
+        "steady_pairs": steady_pairs,
         "per_seed_runs": per_seed,
     }
+
+
+def steady_indices(done: list[dict], sides: list[str]) -> tuple[dict, float]:
+    """The parent's yardstick spread, (q3 - q1) / median over its runs, and for
+    each other side the indices of the pairs whose yardstick ratio to the
+    parent's lies within 1 +- that spread."""
+    q1, median, q3 = quartiles([pair["parent"]["outer_ref_ms"] for pair in done])
+    spread = (q3 - q1) / median
+    steady = {
+        side: [i for i, pair in enumerate(done)
+               if abs(pair[side]["outer_ref_ms"] / pair["parent"]["outer_ref_ms"] - 1) <= spread]
+        for side in sides[1:]
+    }
+    return steady, round(spread, 4)
 
 
 def yardstick_row(pair: dict, sides: list[str]) -> dict:
