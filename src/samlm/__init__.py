@@ -1,6 +1,16 @@
 """Attribute-conditioned GRU language modeling with attention, n-gram and
 topic-model baselines, and style-variation generation."""
 
+import os
+
+# One BLAS thread unless the caller set a count: OpenBLAS splits the reduced
+# axis of a large product over its threads, so trained weights would depend
+# in their bits on the machine's CPU count. The output layer gets the CPUs
+# through the worker pool instead (`tensor.run_pieces`). This works only if
+# numpy is not imported yet, as in the `samlm` command.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .corpus import (
     AttributeInventory,
     Document,

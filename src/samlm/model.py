@@ -45,6 +45,14 @@ from .tensor import ParamStore
 # 2.5x the time of 600 in one at V = 10 000, d = 200 (OpenBLAS, one thread,
 # x86-64).
 OUTPUT_BLOCK = 1 << 22
+# The output layer's products run in pieces on the worker pool
+# (`tensor.run_pieces`), split only along axes they do not reduce, and each
+# piece does at least PIECE_WORK multiply-adds. With OpenBLAS 0.3.31 (x86-64)
+# a piece then has the bits of the same rows of the whole product: in a sweep
+# the only pieces that differed were one-row pieces (numpy's matrix-vector
+# path) and those of at most 10**6 multiply-adds (OpenBLAS's small-matrix
+# kernel), at V = 1 000 and 10 000, d = 200. Smaller pieces saved little.
+PIECE_WORK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -189,6 +197,9 @@ class SamModel:
         self.Wout = self.store.add("Wout", (v, d), rng=rng)
         self.bout = self.store.add("bout", (v,), init="zeros")
 
+        # the output layer's products over target rows cost V x d multiply-adds a row
+        self.rows_per_piece = max(2, -(-PIECE_WORK // (v * d)))
+
         main_input = d + dt if spec.uses_context else d
         self.main_cell = GruCell(self.store, "main", main_input, d, rng)
 
@@ -285,8 +296,19 @@ class SamModel:
         return StepRecord(x_ids, h, g_cache, alpha=alpha, beta=beta, title_att=t_cache, attr_att=a_cache)
 
     def output(self, h: np.ndarray) -> np.ndarray:
-        """Next-word logits of one hidden state (d) or a stack of them (T x d)."""
-        return h @ self.Wout.value.T + self.bout.value
+        """Next-word logits of one hidden state (d) or a stack of them (T x d),
+        a stack in pieces of rows on the worker pool."""
+        W, b = self.Wout.value, self.bout.value
+        if h.ndim == 1:
+            return h @ W.T + b
+        logits = np.empty((len(h), len(W)))
+
+        def rows(lo: int, hi: int) -> None:
+            np.matmul(h[lo:hi], W.T, out=logits[lo:hi])
+            logits[lo:hi] += b
+
+        tensor.run_pieces(len(h), rows, self.rows_per_piece)
+        return logits
 
     def unroll(
         self,
@@ -333,7 +355,8 @@ class SamModel:
         drops out when its document ends, so every step is one product per
         weight over the rows still running. The output layer then scores
         each block of targets in one product (a batch within one block keeps
-        the bits of the per-document pass). A trace covers one document.
+        the bits of the per-document pass), run in pieces on the worker pool
+        with that product's bits (`PIECE_WORK`). A trace covers one document.
         """
         docs = [docs] if isinstance(docs, IndexedDocument) else list(docs)
         for doc in docs:
@@ -365,29 +388,48 @@ class SamModel:
         if want_caches:
             fwd.caches = steps
             fwd.dhidden = np.empty_like(hidden)
-            fwd.dWout, fwd.dbout = np.zeros_like(self.Wout.value), np.zeros_like(self.bout.value)
         # every target's index in hidden, and its token, the documents in the given order
         at = np.concatenate([position[: lengths[row], row] for row in np.argsort(order)])
         targets = np.concatenate([doc.text_ids for doc in docs])
         per_word = np.empty(len(at))
-        size = max(1, OUTPUT_BLOCK // self.config.vocab_size)
+        W, (V, d) = self.Wout.value, self.Wout.value.shape
+        size = max(1, OUTPUT_BLOCK // V)
         for start in range(0, len(at), size):
             block = slice(start, start + size)
             h = hidden[at[block]]
-            shifted = self.output(h)
-            shifted -= shifted.max(axis=1, keepdims=True)
-            picked = np.arange(len(h)), targets[block]
-            target_logits = shifted[picked]
-            exps = np.exp(shifted, out=shifted)
-            sums = exps.sum(axis=1)
-            per_word[block] = np.log(sums) - target_logits
+            logits = self.output(h)
+
+            def score(lo: int, hi: int) -> None:
+                # softmax of the block's rows lo:hi, their NLLs and the gradient w.r.t. their states
+                shifted, rows = logits[lo:hi], slice(start + lo, start + hi)
+                shifted -= shifted.max(axis=1, keepdims=True)
+                picked = np.arange(hi - lo), targets[rows]
+                target_logits = shifted[picked]
+                exps = np.exp(shifted, out=shifted)
+                sums = exps.sum(axis=1)
+                per_word[rows] = np.log(sums) - target_logits
+                if want_caches:
+                    dlogits = exps
+                    dlogits /= sums[:, None]
+                    dlogits[picked] -= 1.0
+                    fwd.dhidden[at[rows]] = dlogits @ W
+
+            def vocab_grads(lo: int, hi: int) -> None:
+                # rows lo:hi of dWout and dbout; the first block writes them
+                dlogits = logits[:, lo:hi]
+                if start == 0:
+                    np.matmul(dlogits.T, h, out=fwd.dWout[lo:hi])
+                    fwd.dbout[lo:hi] = dlogits.sum(axis=0)
+                else:
+                    fwd.dWout[lo:hi] += dlogits.T @ h
+                    fwd.dbout[lo:hi] += dlogits.sum(axis=0)
+
+            tensor.run_pieces(len(h), score, self.rows_per_piece)
             if want_caches:
-                dlogits = exps
-                dlogits /= sums[:, None]
-                dlogits[picked] -= 1.0
-                fwd.dWout += dlogits.T @ h
-                fwd.dbout += dlogits.sum(axis=0)
-                fwd.dhidden[at[block]] = dlogits @ self.Wout.value
+                if start == 0:
+                    fwd.dWout, fwd.dbout = np.empty_like(W), np.empty(V)
+                # vocabulary rows cost len(h) x d multiply-adds each; cut on multiples of 64
+                tensor.run_pieces(V, vocab_grads, 64 * -(-PIECE_WORK // (64 * len(h) * d)), align=64)
         fwd.total_nll, fwd.per_word_nll = float(per_word.sum()), per_word.tolist()
         return fwd
 

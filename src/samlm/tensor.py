@@ -9,6 +9,7 @@ and float32 makes them unreliable. Matrices are 2-d numpy arrays, vectors are
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -17,6 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import settings
 from .atomic import atomic_write
 
 CHECKPOINT_FORMAT = 1
@@ -50,11 +52,52 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _pin(cpus: list[int], index: Iterator[int]) -> None:
+    """Pin the starting pool thread, the i-th, to CPU cpus[(i + 1) % len(cpus)]."""
+    try:
+        os.sched_setaffinity(0, {cpus[(next(index) + 1) % len(cpus)]})
+    except OSError:  # the CPU was taken from the process: run unpinned
+        pass
+
+
 @functools.lru_cache(maxsize=None)
 def _pool(threads: int) -> ThreadPoolExecutor:
-    """Worker threads for `run_blocked`, made on first use and kept: starting
-    them for every pass cost about half a millisecond a pass on a 2-CPU VM."""
-    return ThreadPoolExecutor(threads, thread_name_prefix="samlm-blocked")
+    """Worker threads for `run_pieces`, made on first use and kept: starting
+    them for every pass cost about half a millisecond a pass on a 2-CPU VM.
+
+    Worker i is pinned to the (i + 1)-th CPU the process may use, wrapping
+    round, and the calling thread stays unpinned: left to itself, Linux at
+    times ran a worker on the caller's CPU, and two threads then took twice
+    the time of one."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(threads, thread_name_prefix="samlm-blocked")
+    cpus = sorted(os.sched_getaffinity(0))
+    return ThreadPoolExecutor(
+        threads, thread_name_prefix="samlm-blocked", initializer=_pin, initargs=(cpus, itertools.count())
+    )
+
+
+def run_pieces(n: int, fn: Callable[[int, int], None], least: int, align: int = 1) -> None:
+    """Call `fn(lo, hi)` on contiguous pieces that cover range(n) in order,
+    one per worker (`worker_count`), the inner cuts at multiples of `align`.
+
+    The calling thread runs the first piece and pool threads the others.
+    With fewer than `least` items per worker, `fn(0, n)` runs on the calling
+    thread alone. A piece may therefore write only its own outputs. The first
+    piece's exception is raised, once every piece has stopped.
+    """
+    workers = worker_count()
+    if n < least * workers:
+        fn(0, n)
+        return
+    cuts = [n * w // workers // align * align for w in range(workers)] + [n]
+    futures = [_pool(workers - 1).submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        fn(cuts[0], cuts[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def run_blocked(groups: list[tuple[np.ndarray, ...]], kernel: Callable) -> None:
@@ -63,35 +106,47 @@ def run_blocked(groups: list[tuple[np.ndarray, ...]], kernel: Callable) -> None:
 
     `views` are that slice of each array, flattened; `buf` (float64) and `ok`
     (bool) are scratch arrays of the slice's length, private to the thread
-    that runs it. The slices of all groups, in order, are cut into one
-    contiguous share per worker (`worker_count`); the calling thread runs the
-    first share and pool threads the others. With fewer than two slices per
-    worker they all run on the calling thread. A kernel may therefore touch
-    only its own slice, and an elementwise kernel gives the same bits for any
-    worker count. The first share's exception is raised, once every share has
-    stopped.
+    that runs it. The slices of all groups, in order, are the items of one
+    `run_pieces` call that needs two slices per worker. A kernel may
+    therefore touch only its own slice, and an elementwise kernel gives the
+    same bits for any worker count.
     """
     flats = [[a.reshape(-1) for a in arrays] for arrays in groups]
     slices = [(i, slice(lo, lo + CHUNK)) for i, group in enumerate(flats) for lo in range(0, group[0].size, CHUNK)]
 
-    def run(share, buf, ok) -> None:
-        for i, sl in share:
+    def run(lo: int, hi: int) -> None:
+        buf, ok = np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
+        for i, sl in slices[lo:hi]:
             views = [a[sl] for a in flats[i]]
             n = views[0].size
             kernel(i, *views, buf[:n], ok[:n])
 
-    workers = worker_count()
-    if len(slices) < 2 * workers:
-        workers = 1
-    shares = [slices[len(slices) * w // workers : len(slices) * (w + 1) // workers] for w in range(workers)]
-    scratch = [(np.empty(CHUNK), np.empty(CHUNK, dtype=bool)) for _ in shares]
-    futures = [_pool(workers - 1).submit(run, share, *buffers) for share, buffers in zip(shares[1:], scratch[1:])]
-    try:
-        run(shares[0], *scratch[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    run_pieces(len(slices), run, least=2)
+
+
+def _halves(n: int) -> tuple[int, int]:
+    """Where numpy's pairwise sum splits n elements: an even cut on a multiple of 8."""
+    n2 = n // 2 - (n // 2) % 8
+    return n2, n - n2
+
+
+def _sum_leaves(lo: int, n: int) -> Iterator[tuple[int, int]]:
+    """The [a, b) leaves of at most CHUNK elements of numpy's pairwise sum of
+    the n elements from lo, in order."""
+    if n <= CHUNK:
+        yield lo, lo + n
+        return
+    left, right = _halves(n)
+    yield from _sum_leaves(lo, left)
+    yield from _sum_leaves(lo + left, right)
+
+
+def _tree_sum(n: int, sums: Iterator[float]) -> float:
+    """Add the leaf sums of n elements (`_sum_leaves`) as numpy's pairwise sum adds its halves."""
+    if n <= CHUNK:
+        return next(sums)
+    left, right = _halves(n)
+    return _tree_sum(left, sums) + _tree_sum(right, sums)  # the left half first
 
 
 class Param:
@@ -178,21 +233,28 @@ class ParamStore:
 
     def _scaled_norm(self, scale: float) -> float:
         """Global gradient norm after multiplying the gradients by `scale` in
-        place. Each tensor's squares go to one reused buffer and are summed by
-        one `np.sum` over the tensor's shape: the bits of the sum of
-        `np.sum(g * g)`."""
-        squares = np.empty(max((p.grad.size for p in self._params.values()), default=0))
+        place, with the bits of the sum of `np.sum(g * g)` over the tensors.
 
-        def square(_, g, sq, buf, ok):
-            if scale != 1.0:
-                g *= scale
-            np.square(g, out=sq)  # the bits of g * g
-
+        `np.sum` of a contiguous array halves it (on a multiple of 8 rows) down
+        to blocks of 128 elements and adds the halves back up. Here each
+        tensor is cut at those points into leaves of at most CHUNK elements;
+        the pool squares and sums each leaf while it is in cache, and the leaf
+        sums are added back up the same tree."""
         total = 0.0
         for p in self._params.values():
-            sq = squares[: p.grad.size].reshape(p.shape)
-            run_blocked([(p.grad, sq)], square)
-            total += float(np.sum(sq))
+            g = p.grad.reshape(-1)
+            leaves = list(_sum_leaves(0, g.size))
+            sums = [0.0] * len(leaves)
+
+            def square(lo: int, hi: int) -> None:
+                buf = np.empty(CHUNK)
+                for j, (a, b) in enumerate(leaves[lo:hi], lo):
+                    if scale != 1.0:
+                        g[a:b] *= scale
+                    sums[j] = float(np.sum(np.square(g[a:b], out=buf[: b - a])))  # the bits of g * g
+
+            run_pieces(len(leaves), square, least=2)
+            total += _tree_sum(g.size, iter(sums))
         return float(np.sqrt(total))
 
     def copy_values(self) -> dict[str, np.ndarray]:
@@ -306,8 +368,10 @@ def grad_check(
     effectively held to an absolute tolerance of tol * GRAD_CHECK_FLOOR instead
     of a meaningless ratio of two noise terms.
     """
+    settings.real("tol", tol, or_zero=True)
+    settings.real("eps", eps)
     if not 1e-7 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
+        raise ValueError(f"eps must be in [1e-7, 1e-4], got {eps!r}")
     analytic = {p.name: p.grad.copy() for p in store.params()}
     report: dict[str, float] = {}
     for p in store.params():

@@ -147,7 +147,7 @@ def train(
     model.store.zero_grads()
 
     history: list[EpochStats] = []
-    best_nll = np.inf  # epoch 1 always beats it (a non-finite NLL raises) and sets best_values
+    best_nll = np.inf  # epoch 1 always beats it, since a non-finite NLL raises
     best_epoch = 0
     bad_epochs = 0
 
@@ -179,7 +179,8 @@ def train(
         if valid_nll < best_nll:
             best_nll = valid_nll
             best_epoch = epoch
-            best_values = model.store.copy_values()
+            if epoch < cfg.max_epochs:  # after the last epoch the model holds them
+                best_values = model.store.copy_values()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -190,7 +191,8 @@ def train(
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         save_model(model, run_dir / "last.ckpt")
-    model.store.load_values(best_values)
+    if best_epoch != epoch:
+        model.store.load_values(best_values)
     result = TrainResult(best_epoch=best_epoch, best_valid_nll=float(best_nll), history=history)
     if run_dir is not None:
         save_model(model, run_dir / "best.ckpt")

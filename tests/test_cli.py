@@ -374,6 +374,16 @@ class TestPipeline:
         assert "SAM-Title-State-Au-Att" in out and "PASS" in out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "inf"], "tol must be finite and at least 0, got inf"),
+        (["--tol", "nan"], "tol must be finite and at least 0, got nan"),
+        (["--tol", "-1"], "tol must be finite and at least 0, got -1.0"),
+        (["--eps", "0.1"], "eps must be in [1e-7, 1e-4], got 0.1"),
+    ])
+    def test_gradcheck_setting_out_of_range_exits_two(self, capsys, flags, message):
+        assert main(["gradcheck"] + flags) == 2
+        assert f"samlm gradcheck: error: {message}" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, corpus_files, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"order": 4, "out": str(tmp_path / "from-config")}))

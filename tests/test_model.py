@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -436,3 +437,76 @@ class TestBatch:
         empty = IndexedDocument(id="empty", text_ids=(), title_ids=(4,))
         with pytest.raises(ValueError, match="empty has no tokens"):
             tiny_model("RNN").forward_document([DOC, empty], want_trace=False)
+
+
+def unsplit_output_layer(model, fwd, targets):
+    """A one-document pass's output layer as one whole product each: NLLs,
+    dhidden, dWout and dbout."""
+    W, b = model.Wout.value, model.bout.value
+    h = np.concatenate([s.h for s in fwd.caches])
+    shifted = h @ W.T + b
+    shifted -= shifted.max(axis=1, keepdims=True)
+    picked = np.arange(len(h)), np.asarray(targets)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1)
+    nll = np.log(sums) - shifted[picked]
+    dlogits = exps / sums[:, None]
+    dlogits[picked] -= 1.0
+    return nll, dlogits @ W, dlogits.T @ h, dlogits.sum(axis=0)
+
+
+@pytest.fixture(scope="module")
+def output_models():
+    """RNN models at paper width (d = 200) and the suite's tiny width, by V."""
+    models = {(v, 200): build(ModelConfig("RNN", d=200, d_tilde=1, vocab_size=v, seed=2)) for v in (1000, 10000)}
+    models[(7, 4)] = tiny_model("SAM-Title-Au-Att", seed=1)
+    return models
+
+
+# N targets: every 17th from 2 to 419 at V = 1 000, the small and the edge
+# counts at V = 10 000 (one output block holds 419 targets there)
+OUTPUT_SHAPES = (
+    [(1000, 200, n) for n in list(range(2, 420, 17)) + [419]]
+    + [(10000, 200, n) for n in (2, 3, 4, 5, 6, 9, 17, 62, 150, 418, 419)]
+    + [(7, 4, n) for n in (2, 5, 17, 40)]
+)
+
+
+class TestOutputPieces:
+    @pytest.mark.parametrize("vocab, d, n", OUTPUT_SHAPES)
+    def test_pieces_have_the_bits_of_whole_products(self, monkeypatch, output_models, vocab, d, n):
+        model = output_models[(vocab, d)]
+        rng = np.random.default_rng(n)
+        text = tuple(rng.integers(3, vocab, n - 1).tolist()) + (EOS_ID,)
+        doc = IndexedDocument(id="d", text_ids=text, title_ids=(4, 6), author_id=1, category_id=0)
+        expected = None
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model_module.tensor, "worker_count", lambda: workers)
+            fwd = model.forward_document(doc, want_trace=False, want_caches=True)
+            if expected is None:  # the hidden states do not depend on the workers
+                expected = unsplit_output_layer(model, fwd, text)
+            got = (np.array(fwd.per_word_nll), fwd.dhidden, fwd.dWout, fwd.dbout)
+            for name, a, b in zip(("nll", "dhidden", "dWout", "dbout"), got, expected):
+                assert a.tobytes() == b.tobytes(), (name, workers)
+
+    def test_pieces_under_frequent_thread_switches(self, monkeypatch, output_models):
+        # four workers on fewer cores, and the interpreter switching threads
+        # every microsecond: the pieces write disjoint rows of shared arrays
+        model = output_models[(1000, 200)]
+        text = tuple(np.random.default_rng(0).integers(3, 1000, 149).tolist()) + (EOS_ID,)
+        doc = IndexedDocument(id="d", text_ids=text)
+        monkeypatch.setattr(model_module.tensor, "worker_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [model.forward_document(doc, want_trace=False) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = unsplit_output_layer(model, runs[0], text)
+        for fwd in runs:
+            got = (np.array(fwd.per_word_nll), fwd.dhidden, fwd.dWout, fwd.dbout)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+    def test_paper_width_splits_from_two_rows_a_piece(self, output_models):
+        assert output_models[(10000, 200)].rows_per_piece == 2
+        assert output_models[(1000, 200)].rows_per_piece == 11

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import threading
 
@@ -16,6 +17,7 @@ from samlm.tensor import (
     load_checkpoint,
     save_checkpoint,
     run_blocked,
+    run_pieces,
     sigmoid,
     softmax,
 )
@@ -172,6 +174,72 @@ class TestBlocked:
         for name, g in expected.items():
             assert store[name].grad.tobytes() == g.tobytes(), name
         assert store.grad_norm() == math.sqrt(sum(float(np.sum(g * g)) for g in expected.values()))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_norm_has_the_bits_of_np_sum(self, monkeypatch, workers):
+        # paper shapes (E and Wout at V = 10 000 and 1 000, d = 200, a GRU input
+        # matrix, an attribute table), 1-d sizes round numpy's pairwise-sum
+        # blocks and CHUNK, and the suite's shapes
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: workers)
+        sizes = (7, 127, 128, 129, 8191, CHUNK, CHUNK + 1, 2 * CHUNK + 8, 100003)
+        shapes = [(10000, 200), (1000, 200), (200, 400), (12, 200)] + [(n,) for n in sizes]
+        rng = np.random.default_rng(9)
+        for shape in shapes + list(BLOCKED_SHAPES.values()):
+            grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+            for scale in (1.0, 0.3):
+                store = ParamStore()
+                store.add("g", shape, init="zeros").grad[...] = grad
+                want = math.sqrt(float(np.sum(np.square(grad * scale))))
+                assert store.clip_grad_norm(math.inf, scale=scale).hex() == want.hex(), (shape, scale)
+                assert store["g"].grad.tobytes() == (grad * scale).tobytes()
+
+
+class TestPieces:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n, least, align", [(419, 2, 1), (62, 11, 1), (10000, 128, 64), (200, 64, 64), (5, 2, 1)])
+    def test_pieces_cover_the_range_in_order(self, monkeypatch, workers, n, least, align):
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: workers)
+        pieces = []
+        run_pieces(n, lambda lo, hi: pieces.append((lo, hi, threading.get_ident())), least, align)
+        spans = sorted((lo, hi) for lo, hi, _ in pieces)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        if n < least * workers:
+            assert pieces == [(0, n, threading.get_ident())]
+            return
+        assert len(spans) == workers
+        assert all(hi - lo >= least and lo % align == 0 for lo, hi in spans)
+        assert (0, spans[0][1], threading.get_ident()) in pieces  # the caller runs the first piece
+
+    def test_every_piece_stops_before_an_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "worker_count", lambda: 3)
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("first piece")
+            threading.Event().wait(0.05)
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="first piece"):
+            run_pieces(30, fn, 2)
+        assert sorted(done) == [10, 20]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_pool_thread_runs_on_one_cpu_of_the_process(self, threads):
+        cpus = sorted(os.sched_getaffinity(0))
+        barrier = threading.Barrier(threads)  # every thread of the pool reports once
+
+        def report():
+            barrier.wait(timeout=10)
+            return os.sched_getaffinity(0)
+
+        futures = [tensor_mod._pool(threads).submit(report) for _ in range(threads)]
+        masks = [future.result() for future in futures]
+        assert all(len(mask) == 1 for mask in masks)
+        assert sorted(min(mask) for mask in masks) == sorted(cpus[(i + 1) % len(cpus)] for i in range(threads))
+        assert sorted(os.sched_getaffinity(0)) == cpus  # the calling thread stays unpinned
 
 
 def corrupt_checkpoint(path, defect):
@@ -336,6 +404,26 @@ class TestGradCheck:
         store, p = self._quadratic_store()
         with pytest.raises(ValueError, match="eps"):
             grad_check(self._half_norm_sq, store, eps=1e-2)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("tol", math.inf, "tol must be finite and at least 0, got inf"),
+        ("tol", math.nan, "tol must be finite and at least 0, got nan"),
+        ("tol", -1e-4, "tol must be finite and at least 0, got -0.0001"),
+        ("tol", "1e-4", "tol must be finite and at least 0, got '1e-4'"),
+        ("eps", "1e-5", "eps must be finite and positive, got '1e-5'"),
+        ("eps", math.nan, "eps must be finite and positive, got nan"),
+        ("eps", 1e-2, r"eps must be in \[1e-7, 1e-4\], got 0.01"),
+    ])
+    def test_settings_checked(self, setting, value, message):
+        store, p = self._quadratic_store()
+        p.grad[...] = p.value
+        with pytest.raises(ValueError, match=message):
+            grad_check(self._half_norm_sq, store, **{setting: value})
+
+    def test_zero_tol_accepted(self):
+        store, p = self._quadratic_store()
+        p.grad[...] = p.value
+        assert grad_check(self._half_norm_sq, store, tol=0.0).tol == 0.0
 
     def test_non_finite_objective_rejected(self):
         store, p = self._quadratic_store()

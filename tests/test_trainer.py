@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import samlm
 import samlm.tensor as tensor_mod
 import samlm.trainer as trainer_mod
-from samlm.corpus import Document
+from samlm.corpus import EOS_ID, Document, IndexedDocument
 from samlm.model import ModelConfig, build
 from samlm.tensor import ParamStore
 from samlm.trainer import Adam, EpochStats, TrainConfig, train, write_history_csv
@@ -187,6 +192,70 @@ class TestTrainLoop:
         monkeypatch.setattr(ParamStore, "copy_values", lambda store: copies.append(1) or real_copy(store))
         train(model, indexed, indexed, TrainConfig(max_epochs=4, patience=2))
         assert len(copies) == 2
+
+    @pytest.mark.parametrize("scripted, copied, loaded", [([1.0], 0, 0), ([2.0, 1.0], 1, 0), ([1.0, 2.0], 1, 1)])
+    def test_no_copy_the_last_epoch_cannot_replace(self, monkeypatch, scripted, copied, loaded):
+        # the model leaves the last epoch holding its weights: they are the best
+        # ones when that epoch improves, and no later epoch can replace them
+        docs = [Document(id=str(i), text=("a", "b")) for i in range(4)]
+        model, indexed = small_pipeline("RNN", docs, d=4, d_tilde=2)
+        nlls = iter(scripted)
+        monkeypatch.setattr(trainer_mod, "mean_nll", lambda m, d: next(nlls))
+        calls = []
+        for method in ("copy_values", "load_values"):
+            real = getattr(ParamStore, method)
+            monkeypatch.setattr(
+                ParamStore, method, lambda store, *a, method=method, real=real: calls.append(method) or real(store, *a)
+            )
+        result = train(model, indexed, indexed, TrainConfig(max_epochs=len(scripted), patience=2))
+        assert result.best_epoch == 1 + scripted.index(min(scripted))
+        assert (calls.count("copy_values"), calls.count("load_values")) == (copied, loaded)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_seed_checkpoints_do_not_depend_on_the_workers(self, monkeypatch, tmp_path, workers):
+        # V = 1 000, d = 200: the output layer and the optimizer tail run in pieces on the pool
+        rng = np.random.default_rng(3)
+        docs = [
+            IndexedDocument(
+                id=str(i),
+                text_ids=tuple(rng.integers(3, 1000, rng.integers(20, 40)).tolist()) + (EOS_ID,),
+                title_ids=tuple(rng.integers(3, 1000, 3).tolist()),
+                author_id=i % 2,
+            )
+            for i in range(10)
+        ]
+        config = ModelConfig("SAM-Title-Au-Att", d=200, d_tilde=200, vocab_size=1000, n_authors=2, seed=1)
+        for run, count in (("one", 1), ("many", workers)):
+            monkeypatch.setattr(tensor_mod, "worker_count", lambda: count)
+            train(build(config), docs[:8], docs[8:], TrainConfig(batch_size=4, max_epochs=2), run_dir=tmp_path / run)
+        for name in ("best.ckpt", "last.ckpt"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
+
+    def test_blas_threads_do_not_change_trained_weights(self):
+        # a fresh interpreter that imports samlm before numpy: one OpenBLAS
+        # thread when the variable is unset, so the bits of the run at one thread
+        child = "\n".join([
+            "import hashlib",
+            "import samlm",
+            "import numpy as np",
+            "from samlm import model, trainer",
+            "from samlm.corpus import IndexedDocument",
+            "rng = np.random.default_rng(0)",
+            "docs = [IndexedDocument(id=str(i), text_ids=tuple(rng.integers(3, 10000, rng.integers(40, 60)).tolist())"
+            " + (1,), title_ids=tuple(rng.integers(3, 10000, 4).tolist()), author_id=i % 2) for i in range(40)]",
+            "config = model.ModelConfig('SAM-Title-Au-Att', d=200, d_tilde=200, vocab_size=10000, n_authors=2, seed=1)",
+            "m = model.build(config)",
+            "trainer.train(m, docs[:36], docs[36:], trainer.TrainConfig(batch_size=20, max_epochs=1))",
+            "print(hashlib.sha256(b''.join(p.value.tobytes() for p in m.store.params())).hexdigest())",
+        ])
+        variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in variables}
+        unset["PYTHONPATH"] = str(Path(samlm.__file__).parents[1])
+        digests = set()
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
     def test_history_is_reproducible(self):
         docs = synth.two_category_corpus(60, seed=5)
